@@ -202,9 +202,18 @@ ExplanationSummary SelectExplanations(
 
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
                          const CausalDag& dag, const CauSumXConfig& config) {
+  return RunCauSumX(table, query, dag, config, nullptr);
+}
+
+CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
+                         const CausalDag& dag, const CauSumXConfig& config,
+                         std::shared_ptr<EvalEngine> engine,
+                         std::shared_ptr<EstimatorContext> estimator_ctx,
+                         ThreadPool* pool) {
   CauSumXResult result;
   CandidateMiningResult mined =
-      MineExplanationCandidates(table, query, dag, config);
+      MineExplanationCandidates(table, query, dag, config, std::move(engine),
+                                std::move(estimator_ctx), pool);
   result.view = std::move(mined.view);
   result.partition = std::move(mined.partition);
   result.num_grouping_candidates = mined.num_grouping_candidates;
@@ -216,7 +225,7 @@ CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
 
   result.summary = SelectExplanations(mined.candidates,
                                       result.view.NumGroups(), config,
-                                      &result.timings);
+                                      &result.timings, pool);
   return result;
 }
 

@@ -61,8 +61,10 @@ struct CauSumXConfig {
   /// test is vacuous.
   std::vector<std::string> grouping_attribute_allowlist;
   /// Bypass the evaluation engine's predicate-bitset cache and the
-  /// estimator's CATE memo (verification/benchmark mode). Results are
-  /// bit-identical either way; only the work done differs.
+  /// estimator's CATE memo (verification/benchmark mode) for runs that
+  /// create their own engine. A caller-provided engine keeps its own
+  /// mode: an ExplanationService follows ServiceOptions::cache_enabled.
+  /// Results are bit-identical either way; only the work done differs.
   bool disable_eval_cache = false;
 
   CauSumXConfig() { grouping.apriori.min_support = apriori_support; }
@@ -137,6 +139,17 @@ ExplanationSummary SelectExplanations(
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
                          const CausalDag& dag,
                          const CauSumXConfig& config = {});
+
+/// As above over a caller-provided engine, CATE memo, and pool, with
+/// the same meaning as in MineExplanationCandidates; `pool` also runs
+/// phase 3. The ExplanationService and StreamMonitor answer through
+/// this, so every query path assembles its result in one place.
+CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
+                         const CausalDag& dag, const CauSumXConfig& config,
+                         std::shared_ptr<EvalEngine> engine,
+                         std::shared_ptr<EstimatorContext> estimator_ctx =
+                             nullptr,
+                         ThreadPool* pool = nullptr);
 
 /// Convenience wrapper returning just the summary.
 ExplanationSummary ExplainView(const Table& table,

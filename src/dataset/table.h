@@ -40,7 +40,7 @@ class Table {
   void AppendRows(const std::vector<std::vector<Value>>& rows);
 
   /// Monotone data version: 0 at construction, +1 per AppendRows batch.
-  /// Snapshot consumers (EvalEngine delta extension, the service's
+  /// Snapshot consumers (the EvalEngine rebind, the service's
   /// copy-on-write registry) use it to tell table generations apart;
   /// row-at-a-time AddRow is the bulk-construction path and does not
   /// version.

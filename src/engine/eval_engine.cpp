@@ -53,24 +53,11 @@ ShardPlan PlanFor(const Table& table, const EvalEngineOptions& options) {
 
 }  // namespace
 
-EvalEngine::EvalEngine(const Table& table, bool cache_enabled)
-    : EvalEngine(table, EvalEngineOptions{cache_enabled, 1, nullptr}) {}
-
 EvalEngine::EvalEngine(const Table& table, EvalEngineOptions options)
-    : keepalive_(nullptr),
-      table_(table),
-      cache_enabled_(options.cache_enabled),
-      compression_(options.compression),
-      plan_(PlanFor(table, options)),
-      pool_(std::move(options.pool)) {
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
-    column_slots_.emplace_back();
-  }
-}
-
-EvalEngine::EvalEngine(std::shared_ptr<const Table> table, bool cache_enabled)
-    : EvalEngine(std::move(table),
-                 EvalEngineOptions{cache_enabled, 1, nullptr}) {}
+    // Aliasing shared_ptr with no owner: the caller keeps `table` alive.
+    : EvalEngine(std::shared_ptr<const Table>(std::shared_ptr<const Table>(),
+                                              &table),
+                 std::move(options)) {}
 
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        EvalEngineOptions options)
@@ -86,28 +73,36 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
 }
 
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
-                       const EvalEngine& base)
+                       const EvalEngine& base, size_t dropped_prefix_rows)
     : keepalive_(std::move(table)),
       table_(*keepalive_),
       cache_enabled_(base.cache_enabled_),
       compression_(base.compression_),
-      plan_(base.plan_.Extended(keepalive_->NumRows())),
+      // The base shard size is block-aligned already, so this equals
+      // base.plan_.Extended(): shard boundaries survive every rebind.
+      plan_(keepalive_->NumRows(), base.plan_.shard_rows()),
       pool_(base.pool_) {
   const size_t old_rows = base.table_.NumRows();
   const size_t new_rows = table_.NumRows();
-  if (new_rows < old_rows ||
+  const size_t dropped = dropped_prefix_rows;
+  const bool grows = dropped == 0 && new_rows >= old_rows;
+  const bool retracts = dropped <= old_rows && new_rows == old_rows - dropped;
+  if ((!grows && !retracts) ||
       table_.NumColumns() != base.table_.NumColumns()) {
     throw std::invalid_argument(
-        "EvalEngine delta extension: table does not extend the base table");
+        "EvalEngine rebind: table is neither the base table grown by "
+        "appended rows nor the base table minus its dropped prefix");
   }
+  // Rows [0, kept) survive from the base (row k is base row k + dropped);
+  // rows [kept, new_rows) were appended.
+  const size_t kept = old_rows - dropped;
 
   // Inherit the intern table (ids must survive so EstimatorContext memo
-  // keys stay valid across the append) and carry over every materialized
-  // segment. The base may be serving queries concurrently, so the
-  // snapshot phase under its shared intern lock only copies pointers —
-  // the O(predicates x delta) re-evaluation of the dirty shards happens
-  // after the lock is released, so a query that needs to intern a new
-  // predicate into the base never waits on the append. This engine is
+  // keys stay valid) and carry over the materialized segments. The base
+  // may be serving queries concurrently, so the snapshot phase under its
+  // shared intern lock only copies pointers — all bit work happens after
+  // the lock is released, so a query that needs to intern a new
+  // predicate into the base never waits on the rebind. This engine is
   // still private to the constructor, so its own members need no locks.
   struct SlotSnapshot {
     SimplePredicate pred;
@@ -133,6 +128,7 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
       snapshot.push_back(std::move(snap));
     }
   }
+  const ShardPlan& base_plan = base.plan_;
   const size_t num_shards = plan_.NumShards();
   for (SlotSnapshot& snap : snapshot) {
     slots_.emplace_back();
@@ -144,36 +140,55 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
     for (size_t s = 0; s < num_shards; ++s) {
       const size_t begin = plan_.ShardBegin(s);
       const size_t end = plan_.ShardEnd(s);
-      const bool existed = s < snap.segs.size();
-      const std::shared_ptr<const SegmentBits> old_seg =
-          existed ? snap.segs[s] : nullptr;
-      if (existed && old_seg == nullptr) continue;  // evicted: stays evicted
-      if (!existed && !carried_any) continue;  // predicate was never cached
-      if (old_seg != nullptr && old_seg->size() == end - begin) {
-        // Clean shard, untouched by the append: share the base's segment.
-        dst.segs[s] = old_seg;
-        dst.seg_used[s] = snap.seg_used[s];
-        carried_any = true;
-        continue;
+      // The shard's surviving rows are base rows [src_begin, src_end).
+      const size_t src_begin = begin + dropped;
+      const size_t src_end = std::min(end + dropped, old_rows);
+      Bitset bits;
+      uint64_t stamp = 0;
+      if (src_begin < src_end) {
+        // The carried bits must equal a from-scratch evaluation, so every
+        // base segment the shard draws on must be resident (survivor
+        // values — though not dictionary codes — are unchanged, and
+        // predicates match by value).
+        const size_t first = base_plan.ShardOfRow(src_begin);
+        const size_t last = base_plan.ShardOfRow(src_end - 1);
+        bool resident = true;
+        for (size_t b = first; b <= last && resident; ++b) {
+          resident = snap.segs[b] != nullptr;
+          if (resident) stamp = std::max(stamp, snap.seg_used[b]);
+        }
+        if (!resident) continue;  // evicted: stays evicted
+        const size_t lo = base_plan.ShardBegin(first);
+        if (first == last && src_begin == lo &&
+            end + dropped == base_plan.ShardEnd(first)) {
+          // Exactly one base segment, untouched: share it (zero copy).
+          dst.segs[s] = snap.segs[first];
+          dst.seg_used[s] = stamp;
+          carried_any = true;
+          continue;
+        }
+        bits = Bitset(base_plan.ShardEnd(last) - lo);
+        for (size_t b = first; b <= last; ++b) {
+          snap.segs[b]->AssignIntoRange(&bits, base_plan.ShardBegin(b) - lo);
+        }
+        bits.DropPrefix(src_begin - lo);
+      } else if (!carried_any) {
+        continue;  // appended rows only, and the predicate carried nothing
       }
-      // Dirty shard (spans the append point) or brand-new tail shard:
-      // evaluate only the rows the base segment did not cover.
-      // Row-at-a-time Matches agrees bit-for-bit with Pattern::Evaluate
-      // (see the engine property tests), including the absent-dictionary-
-      // constant case: old rows keep their old codes, so a constant that
-      // only entered the dictionary with the delta still matches no old
-      // row. The extended bits re-enter Choose, so the representation
-      // tracks the shard's post-append density.
-      const size_t covered =
-          old_seg != nullptr ? begin + old_seg->size() : begin;
-      Bitset ext = old_seg != nullptr ? old_seg->Materialize() : Bitset();
-      ext.Resize(end - begin);
-      for (size_t r = covered; r < end; ++r) {
-        if (dst.pred.Matches(table_, r)) ext.Set(r - begin);
+      // Evaluate only the appended rows. Row-at-a-time Matches agrees
+      // bit-for-bit with Pattern::Evaluate (see the engine property
+      // tests), including the absent-dictionary-constant case: surviving
+      // rows keep their values, so a constant that only entered the
+      // dictionary with the delta still matches no surviving row. The
+      // bits re-enter Choose, so the representation tracks the shard's
+      // new density.
+      bits.Resize(end - begin);
+      for (size_t r = std::max(begin, kept); r < end; ++r) {
+        if (dst.pred.Matches(table_, r)) bits.Set(r - begin);
       }
       dst.segs[s] = std::make_shared<const SegmentBits>(
-          SegmentBits::Choose(std::move(ext), compression_));
-      dst.seg_used[s] = existed ? snap.seg_used[s] : 0;
+          SegmentBits::Choose(std::move(bits), compression_));
+      dst.seg_used[s] = stamp;
       carried_any = true;
     }
     for (const auto& seg : dst.segs) {
@@ -184,7 +199,10 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
         }
       }
     }
-    if (carried_any) n_extended_.fetch_add(1, std::memory_order_relaxed);
+    if (carried_any) {
+      (dropped == 0 ? n_extended_ : n_retracted_)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
   }
   n_interned_.store(slots_.size(), std::memory_order_relaxed);
 
@@ -194,11 +212,18 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
     const ColumnSlot& src = base.column_slots_[c];
     if (!src.ready.load(std::memory_order_acquire)) continue;
     const Column& col = table_.column(c);
-    dst.view.values = src.view.values;
+    // A categorical column's numeric view holds dictionary codes, and
+    // Table::Tail re-codes dictionaries in survivor first-appearance
+    // order — after a retraction those views rebuild on demand.
+    if (dropped > 0 && col.type() == ColumnType::kCategorical) continue;
+    dst.view.values.assign(
+        src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
+        src.view.values.end());
     dst.view.valid = src.view.valid;
+    dst.view.valid.DropPrefix(dropped);
     dst.view.values.resize(new_rows);
     dst.view.valid.Resize(new_rows);
-    for (size_t r = old_rows; r < new_rows; ++r) {
+    for (size_t r = kept; r < new_rows; ++r) {
       if (col.IsNull(r)) {
         dst.view.values[r] = std::nan("");
       } else {
@@ -209,125 +234,8 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
     view_bytes_.fetch_add(
         new_rows * sizeof(double) + BitsetBytes(dst.view.valid),
         std::memory_order_relaxed);
-    n_views_extended_.fetch_add(1, std::memory_order_relaxed);
-    dst.ready.store(true, std::memory_order_release);
-  }
-}
-
-EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
-                       const EvalEngine& base, size_t dropped_prefix_rows)
-    : keepalive_(std::move(table)),
-      table_(*keepalive_),
-      cache_enabled_(base.cache_enabled_),
-      compression_(base.compression_),
-      plan_(keepalive_->NumRows(), base.plan_.shard_rows()),
-      pool_(base.pool_) {
-  const size_t old_rows = base.table_.NumRows();
-  const size_t new_rows = table_.NumRows();
-  const size_t dropped = dropped_prefix_rows;
-  if (dropped > old_rows || new_rows != old_rows - dropped ||
-      table_.NumColumns() != base.table_.NumColumns()) {
-    throw std::invalid_argument(
-        "EvalEngine retraction: table is not the base table minus its "
-        "dropped prefix");
-  }
-
-  // Same two-phase structure as the delta-extension constructor: the
-  // snapshot under the base's shared intern lock copies only pointers,
-  // and all bit work happens after release, so the base keeps serving
-  // queries. Every predicate keeps its id; its bits shift down by the
-  // dropped prefix and re-slice at the new shard boundaries.
-  struct SlotSnapshot {
-    SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
-    std::vector<uint64_t> seg_used;
-  };
-  std::vector<SlotSnapshot> snapshot;
-  {
-    util::ReaderMutexLock base_lock(base.intern_mu_);
-    ids_ = base.ids_;
-    clock_.store(base.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    snapshot.reserve(base.slots_.size());
-    for (size_t id = 0; id < base.slots_.size(); ++id) {
-      const PredicateSlot& src = base.slots_[id];
-      SlotSnapshot snap;
-      snap.pred = src.pred;
-      {
-        util::MutexLock lk(src.mu);
-        snap.segs = src.segs;
-        snap.seg_used = src.seg_used;
-      }
-      snapshot.push_back(std::move(snap));
-    }
-  }
-  const size_t num_shards = plan_.NumShards();
-  for (SlotSnapshot& snap : snapshot) {
-    slots_.emplace_back();
-    PredicateSlot& dst = slots_.back();
-    dst.pred = std::move(snap.pred);
-    dst.segs.resize(num_shards);
-    dst.seg_used.assign(num_shards, 0);
-    // All-or-nothing carry: the shifted bits must equal a from-scratch
-    // evaluation over the survivors, so every base segment overlapping a
-    // surviving row must be resident (survivor values — though not
-    // dictionary codes — are unchanged, and predicates match by value).
-    // Shards ending inside the dropped prefix contribute no surviving
-    // bits and may be missing or evicted. A predicate with a hole
-    // carries nothing and rematerializes on demand, like an evictee.
-    bool all_resident = true;
-    bool any_surviving = false;
-    for (size_t s = 0; s < base.plan_.NumShards(); ++s) {
-      if (base.plan_.ShardEnd(s) <= dropped) continue;
-      if (s < snap.segs.size() && snap.segs[s] != nullptr) {
-        any_surviving = true;
-      } else {
-        all_resident = false;
-      }
-    }
-    if (!all_resident || !any_surviving) continue;
-    Bitset whole(old_rows);
-    uint64_t carried_stamp = 0;
-    for (size_t s = 0; s < base.plan_.NumShards(); ++s) {
-      if (base.plan_.ShardEnd(s) <= dropped) continue;
-      snap.segs[s]->AssignIntoRange(&whole, base.plan_.ShardBegin(s));
-      carried_stamp = std::max(carried_stamp, snap.seg_used[s]);
-    }
-    whole.DropPrefix(dropped);
-    for (size_t s = 0; s < num_shards; ++s) {
-      Bitset seg_bits =
-          whole.ExtractRange(plan_.ShardBegin(s), plan_.ShardEnd(s));
-      dst.segs[s] = std::make_shared<const SegmentBits>(
-          SegmentBits::Choose(std::move(seg_bits), compression_));
-      dst.seg_used[s] = carried_stamp;
-      bitset_bytes_.fetch_add(dst.segs[s]->bytes(),
-                              std::memory_order_relaxed);
-      if (dst.segs[s]->compressed()) {
-        n_compressed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    n_retracted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  n_interned_.store(slots_.size(), std::memory_order_relaxed);
-
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
-    column_slots_.emplace_back();
-    ColumnSlot& dst = column_slots_.back();
-    const ColumnSlot& src = base.column_slots_[c];
-    if (!src.ready.load(std::memory_order_acquire)) continue;
-    // A categorical column's numeric view holds dictionary codes, and
-    // the compacted table re-codes its dictionaries in survivor
-    // first-appearance order — those views rebuild on demand.
-    if (table_.column(c).type() == ColumnType::kCategorical) continue;
-    dst.view.values.assign(
-        src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
-        src.view.values.end());
-    dst.view.valid = src.view.valid;
-    dst.view.valid.DropPrefix(dropped);
-    view_bytes_.fetch_add(
-        new_rows * sizeof(double) + BitsetBytes(dst.view.valid),
-        std::memory_order_relaxed);
-    n_views_retracted_.fetch_add(1, std::memory_order_relaxed);
+    (dropped == 0 ? n_views_extended_ : n_views_retracted_)
+        .fetch_add(1, std::memory_order_relaxed);
     dst.ready.store(true, std::memory_order_release);
   }
 }
@@ -623,7 +531,7 @@ Value GetValue(ByteReader* r) {
 }  // namespace
 
 std::string EvalEngine::ExportCacheState() const {
-  // Snapshot phase mirrors the delta-extension constructor: copy the
+  // Snapshot phase mirrors the rebind constructor: copy the
   // predicates and segment pointers under the locks, serialize after
   // releasing them so concurrent queries are never blocked on encoding.
   struct SlotSnapshot {
@@ -760,7 +668,7 @@ size_t EvalEngine::ImportCacheState(const std::string& bytes) {
       carried_any = true;
       ++restored;
     }
-    // Restored predicates count as inherited, like delta extension —
+    // Restored predicates count as inherited, like a growth rebind —
     // they were carried into this engine, not materialized by it.
     if (carried_any) n_extended_.fetch_add(1, std::memory_order_relaxed);
   }

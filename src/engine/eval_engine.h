@@ -71,13 +71,13 @@ struct EvalEngineStats {
   uint64_t bitsets_materialized = 0;  ///< segments built (alias, see above)
   uint64_t bitset_hits = 0;
   uint64_t bitsets_evicted = 0;  ///< segments evicted
-  uint64_t bitsets_extended = 0;  ///< predicates inherited via delta extension
-  uint64_t bitsets_retracted = 0;  ///< predicates carried through retraction
+  uint64_t bitsets_extended = 0;  ///< predicates carried by a growth rebind
+  uint64_t bitsets_retracted = 0;  ///< predicates carried by a retraction
   uint64_t pattern_evals = 0;
   uint64_t bypass_evals = 0;
   uint64_t column_views_built = 0;
-  uint64_t column_views_extended = 0;  ///< inherited via delta extension
-  uint64_t column_views_retracted = 0;  ///< carried through retraction
+  uint64_t column_views_extended = 0;  ///< carried by a growth rebind
+  uint64_t column_views_retracted = 0;  ///< carried by a retraction
   size_t bitset_bytes = 0;
   size_t view_bytes = 0;
   size_t num_shards = 1;  ///< shards in the engine's plan
@@ -106,7 +106,7 @@ struct EvalEngineOptions {
   /// Worker pool for shard-parallel builds and evaluations. May be
   /// null (serial execution over the same shard plan). The engine keeps
   /// the pool alive.
-  std::shared_ptr<ThreadPool> pool;
+  std::shared_ptr<ThreadPool> pool = nullptr;
   /// Storage policy for cached predicate segments: kAuto compresses a
   /// segment when that at least halves its resident bytes, kNever keeps
   /// every segment as a plain bitset, kAlways compresses all of them
@@ -123,54 +123,45 @@ struct EvalEngineOptions {
 /// the engine (use the shared_ptr constructor to guarantee it).
 class EvalEngine {
  public:
-  explicit EvalEngine(const Table& table, bool cache_enabled = true);
-  EvalEngine(const Table& table, EvalEngineOptions options);
+  /// Binds to `table`, which must outlive the engine (the shared_ptr
+  /// constructor below removes that coupling).
+  explicit EvalEngine(const Table& table, EvalEngineOptions options = {});
 
   /// Shared-ownership binding: the engine keeps the table alive, so
   /// registry-style owners (ExplanationService, ExplorationSession) can
   /// hand out the engine without lifetime coupling to the table holder.
   explicit EvalEngine(std::shared_ptr<const Table> table,
-                      bool cache_enabled = true);
-  EvalEngine(std::shared_ptr<const Table> table, EvalEngineOptions options);
+                      EvalEngineOptions options = {});
 
-  /// Delta-aware rebinding for the streaming append path: a new engine
-  /// over `table`, which must be `base`'s table extended by appended rows
-  /// (same schema; rows [0, base rows) bit-identical). Every interned
-  /// predicate keeps its id, and each cached segment is carried over:
-  /// shards fully below the old row count share the base's segment
-  /// objects outright (zero copy — their rows are untouched), the shard
-  /// containing the append point extends by evaluating only the delta
-  /// rows, and brand-new tail shards materialize for predicates that
-  /// were cached. Only the dirty shards are re-evaluated — O(delta) per
-  /// cache entry instead of a full-table rebuild. Evicted segments stay
-  /// evicted (they rematerialize on next use). The shard size and pool
-  /// are inherited, so shard boundaries stay stable across appends.
-  /// Safe while `base` is serving concurrent queries; `base` itself is
-  /// never modified. Throws std::invalid_argument when `table` does not
-  /// extend the base table.
-  EvalEngine(std::shared_ptr<const Table> table, const EvalEngine& base);
-
-  /// Retract-aware rebinding for the windowed-retention path: a new
-  /// engine over `table`, which must be `base`'s table with its first
-  /// `dropped_prefix_rows` rows removed — row r of `table` holds the
-  /// values of base row `dropped_prefix_rows + r` (Table::Tail builds
-  /// exactly this; its dictionaries may be re-coded, which is fine
-  /// because predicates match by value, not code). Every interned
-  /// predicate keeps its dense id, so EstimatorContext memo keys stay
-  /// valid across the retraction. A predicate whose surviving-row
-  /// segments are all resident carries its bits over, shifted down by
-  /// the dropped prefix and re-sliced at the new shard boundaries; a
-  /// predicate with any needed segment evicted carries nothing and
-  /// rematerializes on demand. Numeric column views of int/double
-  /// columns shift down likewise; categorical views (whose numeric
-  /// values are dictionary codes) and distinct-value caches rebuild on
-  /// demand. Byte accounting restarts from the carried state — the
-  /// expiry path is exactly how resident bytes shrink. The shard size
-  /// and pool are inherited. Safe while `base` serves concurrent
-  /// queries; `base` is never modified. Throws std::invalid_argument on
-  /// a row-count/schema mismatch.
+  /// Rebinds `base`'s warm state to `table` after a change of rows: row
+  /// k of `table` holds the values of base row `dropped_prefix_rows + k`
+  /// for every surviving base row, and any rows past the survivors are
+  /// appended. Two mappings are accepted — growth (`dropped_prefix_rows`
+  /// = 0, rows appended: the service's append path) and retraction (no
+  /// rows appended: the windowed-retention path, with `table` built by
+  /// Table::Tail, whose re-coded dictionaries are fine because
+  /// predicates match by value). Anything else, or a column-count
+  /// mismatch, throws std::invalid_argument.
+  ///
+  /// Every interned predicate keeps its dense id, so EstimatorContext
+  /// memo keys stay valid. The shard size and pool are inherited, and
+  /// each new shard decides its carry from the base rows it draws on:
+  /// a shard whose source rows are exactly one resident base segment
+  /// shares that segment (zero copy — the untouched shards of an
+  /// append); a shard whose overlapping base segments are all resident
+  /// assembles their shifted bits and evaluates only the appended rows;
+  /// a shard touching an evicted segment stays evicted (it
+  /// rematerializes on next use); and a shard of appended rows only is
+  /// built when the predicate carried at least one shard. A carried
+  /// segment's LRU stamp is the newest stamp it draws from. Numeric
+  /// views shift and extend likewise, except categorical views on
+  /// retraction (their values are dictionary codes); distinct-value
+  /// caches rebuild on demand. Byte accounting restarts from the
+  /// carried state, so expiry is exactly how resident bytes shrink.
+  /// Safe while `base` serves concurrent queries; `base` is never
+  /// modified.
   EvalEngine(std::shared_ptr<const Table> table, const EvalEngine& base,
-             size_t dropped_prefix_rows);
+             size_t dropped_prefix_rows = 0);
 
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
@@ -178,7 +169,7 @@ class EvalEngine {
   const Table& table() const { return table_; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// The engine's row partition. Single-shard for the bool constructors.
+  /// The engine's row partition (single-shard under default options).
   const ShardPlan& plan() const { return plan_; }
 
   /// The engine's worker pool (null = serial execution).
@@ -264,9 +255,9 @@ class EvalEngine {
     std::vector<uint64_t> seg_used CAUSUMX_GUARDED_BY(mu);
   };
   /// Double-checked build: `ready` (acquire/release) publishes `view`
-  /// after it is built under `mu` — or seeded by the delta-extension
+  /// after it is built under `mu` — or seeded by the rebind
   /// constructor. (A once_flag cannot express "already built": the
-  /// extension ctor pre-fills inherited views.) `view` / `distinct` are
+  /// rebind ctor pre-fills inherited views.) `view` / `distinct` are
   /// deliberately NOT GUARDED_BY: after publication they are immutable
   /// and read lock-free; the mutex only serializes the one-time build.
   struct ColumnSlot {
@@ -289,8 +280,9 @@ class EvalEngine {
   /// eviction.
   std::vector<std::shared_ptr<const SegmentBits>> SegmentsOf(PredicateId id);
 
-  const std::shared_ptr<const Table> keepalive_;  // may be null (ref ctor)
-  const Table& table_;  // not owned; must outlive the engine.
+  /// Owns the table, or aliases it without ownership (ref ctor).
+  const std::shared_ptr<const Table> keepalive_;
+  const Table& table_;
   const bool cache_enabled_;
   const SegmentCompression compression_;
   const ShardPlan plan_;

@@ -526,35 +526,14 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
                                           const CausalDag& dag,
                                           const CauSumXConfig& config) {
   Resolved entry = Resolve(table_name, dag, config.estimator);
-  // A bypass request cannot run through the shared cached engine; give it
-  // a private bypass engine instead (same results, no cache reuse).
-  std::shared_ptr<EvalEngine> engine = entry.engine;
-  std::shared_ptr<EstimatorContext> ctx = entry.context;
-  if (config.disable_eval_cache && engine->cache_enabled()) {
-    engine = std::make_shared<EvalEngine>(entry.table, false);
-    ctx = std::make_shared<EstimatorContext>(engine, dag, config.estimator);
-  }
-
-  CauSumXResult result;
-  // With the default thread count the query mines on the service pool
+  // With the default thread count the query runs on the service pool
   // (no per-query thread spawning; nested ParallelFor is deadlock-safe
   // because callers participate). An explicit num_threads still gets a
   // private pool of that size.
-  ThreadPool* mining_pool = config.num_threads == 0 ? pool_.get() : nullptr;
-  CandidateMiningResult mined = MineExplanationCandidates(
-      *entry.table, query, dag, config, engine, ctx, mining_pool);
-  result.view = std::move(mined.view);
-  result.partition = std::move(mined.partition);
-  result.num_grouping_candidates = mined.num_grouping_candidates;
-  result.num_candidates_with_treatment = mined.candidates.size();
-  result.treatment_patterns_evaluated = mined.treatment_patterns_evaluated;
-  result.timings = mined.timings;
-  result.cache_stats = mined.cache_stats;
-  if (result.view.NumGroups() > 0) {
-    result.summary =
-        SelectExplanations(mined.candidates, result.view.NumGroups(), config,
-                           &result.timings, pool_.get());
-  }
+  ThreadPool* pool = config.num_threads == 0 ? pool_.get() : nullptr;
+  CauSumXResult result =
+      RunCauSumX(*entry.table, query, dag, config, std::move(entry.engine),
+                 std::move(entry.context), pool);
   n_queries_.fetch_add(1, std::memory_order_relaxed);
   EnforceBudget();
   return result;

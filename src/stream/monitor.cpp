@@ -266,8 +266,8 @@ void StreamMonitor::AppendToWindowLocked(
 void StreamMonitor::CompactLocked(size_t drop) {
   // Table::Tail rebuilds the surviving rows exactly as a from-scratch
   // load would (fresh dictionaries in first-appearance order), and the
-  // retraction constructors carry over precisely the cache/memo state
-  // that is still valid — the grow-only delta logic in reverse.
+  // rebind constructors carry over precisely the cache/memo state that
+  // is still valid.
   auto tail = std::make_shared<const Table>(window_table_->Tail(drop));
   engine_ = std::make_shared<EvalEngine>(tail, *engine_, drop);
   context_ = std::make_shared<EstimatorContext>(engine_, *context_, drop);
@@ -278,13 +278,10 @@ void StreamMonitor::CompactLocked(size_t drop) {
 void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
                                          uint64_t window_begin,
                                          uint64_t window_end) {
-  CandidateMiningResult mined = MineExplanationCandidates(
-      *window_table_, query_, dag_, config_, engine_, context_, mining_pool_);
-  ExplanationSummary summary;
-  if (mined.view.NumGroups() > 0) {
-    summary = SelectExplanations(mined.candidates, mined.view.NumGroups(),
-                                 config_, &mined.timings, mining_pool_);
-  }
+  const ExplanationSummary summary =
+      RunCauSumX(*window_table_, query_, dag_, config_, engine_, context_,
+                 mining_pool_)
+          .summary;
 
   // New diff baseline, keyed by the grouping pattern's canonical
   // rendering (value-based — survives the dictionary re-coding of

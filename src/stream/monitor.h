@@ -7,19 +7,17 @@
 // its own window Table / EvalEngine / EstimatorContext triple and walks
 // it incrementally:
 //
-//   * Appends extend the triple through the engine's delta-extension
-//     constructor and the context's append-migration constructor (PR 3's
-//     grow-only path): cached predicate segments evaluate only the delta
-//     rows and carried CATE memo entries stay warm.
+//   * Appends extend the triple through the engine's and the context's
+//     rebind constructors: cached predicate segments evaluate only the
+//     delta rows and carried CATE memo entries stay warm.
 //   * At each window boundary the expired prefix is retracted:
-//     Table::Tail rebuilds the surviving rows, and the new retraction
-//     constructors (EvalEngine / EstimatorContext with a
-//     dropped_prefix_rows argument) carry over exactly the cache and
-//     memo state that is still valid — a subpopulation that lost rows is
-//     invalidated precisely, everything else shifts down and stays a
-//     memo hit. Expiry also *shrinks* the accounted resident bytes: the
-//     retraction constructors restart byte accounting from the carried
-//     (strictly smaller) state.
+//     Table::Tail rebuilds the surviving rows, and the same rebind
+//     constructors, given the dropped_prefix_rows, carry over exactly
+//     the cache and memo state that is still valid — a subpopulation
+//     that lost rows is invalidated precisely, everything else shifts
+//     down and stays a memo hit. Expiry also *shrinks* the accounted
+//     resident bytes: a rebind restarts byte accounting from the
+//     carried (smaller) state.
 //   * The summary is then re-mined over the window through the warm
 //     caches. Only dirty groups — grouping patterns whose subpopulation
 //     actually gained or lost rows — recompute their CATEs; the rest are

@@ -21,7 +21,7 @@
 //     delta extends the tail shard up to the shard size and then opens
 //     new shards, so shards fully below the old row count keep their
 //     exact boundaries (and their cached artifacts; see the EvalEngine
-//     delta-extension constructor).
+//     rebind constructor).
 //
 // The `--shards N` knob resolves to a shard size of ceil(rows / N)
 // rounded up to a block multiple; N = 0 means one shard per available

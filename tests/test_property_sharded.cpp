@@ -133,7 +133,7 @@ TEST_P(ShardedPropertyTest, BitsetsMatchReferenceAcrossShardCounts) {
   const RandomWorld w = MakeWorld(GetParam() * 101 + 11);
   Rng rng(GetParam() * 13 + 1);
   auto pool = std::make_shared<ThreadPool>(3);
-  EvalEngine bypass(*w.table, /*cache_enabled=*/false);
+  EvalEngine bypass(*w.table, EvalEngineOptions{.cache_enabled = false});
   for (int trial = 0; trial < 5; ++trial) {
     const size_t shards = 1 + rng.NextBounded(16);
     auto engine = MakeShardedEngine(w.table, shards, pool);
@@ -151,7 +151,7 @@ TEST_P(ShardedPropertyTest, BitsetsMatchReferenceAcrossShardCounts) {
     // Numeric views are exact regardless of the plan.
     const auto d1 = w.table->ColumnIndex("d1");
     const NumericColumnView& view = engine->Numeric(*d1);
-    EvalEngine serial(*w.table, /*cache_enabled=*/true);
+    EvalEngine serial(*w.table, EvalEngineOptions{.cache_enabled = true});
     const NumericColumnView& ref = serial.Numeric(*d1);
     ASSERT_TRUE(view.valid == ref.valid);
     for (size_t r = 0; r < w.table->NumRows(); ++r) {
@@ -284,10 +284,14 @@ TEST_P(ShardedPropertyTest, EndToEndSummariesMatch) {
 // Case family 5: random append batches through the delta-extension path.
 // A warm sharded engine extended by a delta must agree with fresh
 // engines (sharded and unsharded) over the grown table, and the sharded
-// view of the grown table must agree with the serial view.
-TEST_P(ShardedPropertyTest, AppendsPreserveShardedEquivalence) {
-  const RandomWorld w = MakeWorld(GetParam() * 113 + 9, /*min_rows=*/200);
-  Rng rng(GetParam() * 29 + 5);
+// view of the grown table must agree with the serial view. With
+// `evict_first`, a random byte count of segments is evicted before each
+// extension, so shards with eviction holes must stay evicted while the
+// rest extend.
+void CheckAppendsPreserveShardedEquivalence(uint64_t seed, bool evict_first) {
+  const RandomWorld w = MakeWorld(seed * 113 + 9, /*min_rows=*/200);
+  Rng rng(seed * 29 + 5);
+  Rng evict_rng(seed * 41 + 3);
   auto pool = std::make_shared<ThreadPool>(3);
   const size_t total = w.table->NumRows();
   const size_t base_rows = total / 2 + rng.NextBounded(total / 4);
@@ -317,13 +321,16 @@ TEST_P(ShardedPropertyTest, AppendsPreserveShardedEquivalence) {
                                                (total - at) / 2 + 1));
     auto grown = std::make_shared<Table>(current->Clone());
     grown->AppendRows(w.table->MaterializeRows(at, next));
+    if (evict_first) {
+      extended->EvictLru(evict_rng.NextBounded(extended->CacheBytes() + 1));
+    }
     extended = std::make_shared<EvalEngine>(
         std::shared_ptr<const Table>(grown), *extended);
     current = grown;
     at = next;
   }
 
-  EvalEngine bypass(*current, /*cache_enabled=*/false);
+  EvalEngine bypass(*current, EvalEngineOptions{.cache_enabled = false});
   auto fresh_sharded = MakeShardedEngine(
       std::make_shared<Table>(current->Clone()), shards, pool);
   for (int i = 0; i < 8; ++i) {
@@ -343,6 +350,13 @@ TEST_P(ShardedPropertyTest, AppendsPreserveShardedEquivalence) {
       *current, q, extended->plan(), pool.get());
   ExpectViewsIdentical(serial, sharded, current->NumRows(),
                        "post-append view");
+}
+
+TEST_P(ShardedPropertyTest, AppendsPreserveShardedEquivalence) {
+  for (const bool evict_first : {false, true}) {
+    SCOPED_TRACE(evict_first ? "evicted before each extension" : "warm");
+    CheckAppendsPreserveShardedEquivalence(GetParam(), evict_first);
+  }
 }
 
 // Case family 6: kernel dispatch tiers x segment-compression policies.
@@ -369,7 +383,7 @@ TEST_P(ShardedPropertyTest, TiersAndCompressionAreBitIdentical) {
   subpop.SetAll();
 
   // References, computed at whatever tier the process started with.
-  EvalEngine bypass(*w.table, /*cache_enabled=*/false);
+  EvalEngine bypass(*w.table, EvalEngineOptions{.cache_enabled = false});
   std::vector<Bitset> expected_bits;
   for (const Pattern& p : patterns) expected_bits.push_back(bypass.Evaluate(p));
   const AggregateView expected_view = AggregateView::Evaluate(*w.table, q);

@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "causal/estimator_context.h"
@@ -233,9 +234,11 @@ class RetractPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 // A warm engine retracted by a random prefix must answer every pattern
 // exactly like a cache-bypass engine over the tail table, and its byte
-// accounting must shrink (expiry may never leak resident bytes).
-TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
-  const uint64_t seed = GetParam();
+// accounting must shrink (expiry may never leak resident bytes). With
+// `evict_first`, a random subset of the warm segments is evicted before
+// the retraction, so shards with eviction holes must stay evicted while
+// their fully resident neighbours carry.
+void CheckRetractedEngineMatchesColdTail(uint64_t seed, bool evict_first) {
   Rng rng(seed * 31 + 5);
   const size_t rows = 150 + rng.NextBounded(300);
   const RandomWorld w = MakeWorld(seed * 131 + 17, rows);
@@ -251,6 +254,19 @@ TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
   for (const auto& atom : w.atoms) engine->Evaluate(Pattern({atom}));
   engine->Numeric(*w.table->ColumnIndex("y"));
   const size_t warm_bytes = engine->CacheBytes();
+  if (evict_first) {
+    // Re-stamp the atoms in a random order, then evict a random byte
+    // count: whole predicates go oldest first and the last one loses a
+    // prefix of its shards.
+    Rng evict_rng(seed * 43 + 11);
+    std::vector<size_t> order(w.atoms.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[evict_rng.NextBounded(i)]);
+    }
+    for (size_t i : order) engine->Evaluate(Pattern({w.atoms[i]}));
+    engine->EvictLru(evict_rng.NextBounded(warm_bytes + 1));
+  }
 
   const size_t drop = 1 + rng.NextBounded(rows / 2);
   auto tail = std::make_shared<const Table>(w.table->Tail(drop));
@@ -259,7 +275,7 @@ TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
   EXPECT_LE(retracted->CacheBytes(), warm_bytes)
       << "retraction grew resident bytes (drop=" << drop << ")";
 
-  EvalEngine bypass(*tail, /*cache_enabled=*/false);
+  EvalEngine bypass(*tail, EvalEngineOptions{.cache_enabled = false});
   for (const auto& atom : w.atoms) {
     const Pattern p({atom});
     ASSERT_TRUE(retracted->Evaluate(p) == bypass.Evaluate(p))
@@ -271,6 +287,13 @@ TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
       ASSERT_TRUE(retracted->Evaluate(p) == bypass.Evaluate(p))
           << "drop=" << drop << " " << p.ToString();
     }
+  }
+}
+
+TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
+  for (const bool evict_first : {false, true}) {
+    SCOPED_TRACE(evict_first ? "evicted before retraction" : "warm");
+    CheckRetractedEngineMatchesColdTail(GetParam(), evict_first);
   }
 }
 

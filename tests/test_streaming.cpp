@@ -249,6 +249,17 @@ TEST(EngineExtensionTest, RejectsNonExtension) {
   EXPECT_THROW(EvalEngine(smaller, *engine), std::invalid_argument);
 }
 
+TEST(EngineExtensionTest, RejectsMismatchedDroppedPrefix) {
+  EngineWorld w = MakeEngineWorld(31, 100);
+  auto engine =
+      std::make_shared<EvalEngine>(std::shared_ptr<const Table>(w.table));
+  const size_t drop = 10;
+  auto tail = std::make_shared<const Table>(w.table->Tail(drop));
+  EXPECT_THROW(EvalEngine(tail, *engine, drop + 1), std::invalid_argument);
+  EXPECT_THROW(EvalEngine(tail, *engine, drop - 1), std::invalid_argument);
+  EXPECT_NO_THROW(EvalEngine(tail, *engine, drop));
+}
+
 // ---- Estimator-context migration -------------------------------------------
 
 TEST(ContextMigrationTest, UntouchedSubpopulationsHitTheMemo) {

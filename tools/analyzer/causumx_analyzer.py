@@ -107,34 +107,7 @@ def run_scan(args) -> int:
         print("causumx-analyzer: nothing to scan", file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    if frontend == "auto":
-        try:
-            import clang_frontend
-            frontend = "clang" if clang_frontend.available() else "text"
-        except ImportError:
-            frontend = "text"
-
     project = build_project(entries)
-    if frontend == "clang":
-        import clang_frontend
-        if not clang_frontend.available():
-            print("causumx-analyzer: --frontend=clang requested but "
-                  "clang.cindex is not importable (apt install "
-                  "python3-clang-14)", file=sys.stderr)
-            return 2
-        clang_irs = clang_frontend.build_project_entries(
-            entries, root, args.compdb)
-        if args.parity:
-            return run_parity(project, clang_irs)
-        # the clang parse replaces the textual IR where it succeeded;
-        # files clang could not parse keep the textual fallback
-        project.files.update(clang_irs)
-    elif args.parity:
-        print("causumx-analyzer: --parity requires --frontend=clang",
-              file=sys.stderr)
-        return 2
-
     which = set(args.check) if args.check else None
     findings = checks.run_checks(project, cfg, which)
 
@@ -155,35 +128,9 @@ def run_scan(args) -> int:
     scanned = len(project.files)
     status = "clean" if not fresh else f"{len(fresh)} finding(s)"
     extra = f", {grandfathered} baselined" if grandfathered else ""
-    print(f"causumx-analyzer [{frontend}]: {scanned} file(s), "
+    print(f"causumx-analyzer: {scanned} file(s), "
           f"{status}{extra}")
     return 1 if fresh else 0
-
-
-def run_parity(project, clang_irs) -> int:
-    """Report structural drift between the two frontends (never fails:
-    the textual frontend is authoritative, this step is advisory)."""
-    import clang_frontend
-    drift = 0
-    for rel, clang_ir in sorted(clang_irs.items()):
-        text_ir = project.files.get(rel)
-        if text_ir is None:
-            continue
-        a = clang_frontend.skeleton(text_ir)
-        b = clang_frontend.skeleton(clang_ir)
-        fa, fb = set(a["functions"]), set(b["functions"])
-        for missing in sorted(fb - fa):
-            print(f"parity {rel}: text frontend missed function "
-                  f"{missing}")
-            drift += 1
-        la = len(a["acquisitions"])
-        lb = len(b["acquisitions"])
-        if la != lb:
-            print(f"parity {rel}: acquisition count text={la} clang={lb}")
-            drift += 1
-    print(f"causumx-analyzer parity: {len(clang_irs)} file(s), "
-          f"{drift} drift item(s) (advisory)")
-    return 0
 
 
 def run_self_test(args) -> int:
@@ -238,14 +185,6 @@ def main(argv=None) -> int:
                     help="files/dirs to scan (default: src/)")
     ap.add_argument("--check", action="append", metavar="RULE",
                     help="run only this rule (repeatable)")
-    ap.add_argument("--frontend", choices=["auto", "text", "clang"],
-                    default="text",
-                    help="parser backend (default: text — deterministic, "
-                         "dependency-free; clang uses libclang bindings)")
-    ap.add_argument("--compdb",
-                    default=os.path.join(REPO_ROOT, "build",
-                                         "compile_commands.json"),
-                    help="compile_commands.json for the clang frontend")
     ap.add_argument("--config", help="JSON config overriding defaults")
     ap.add_argument("--baseline", default=DEFAULT_BASELINE,
                     help="baseline file of grandfathered finding keys")
@@ -254,9 +193,6 @@ def main(argv=None) -> int:
     ap.add_argument("--root", help="repo root override (for tests)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture suite under tests/analyzer/")
-    ap.add_argument("--parity", action="store_true",
-                    help="with --frontend=clang: report frontend drift "
-                         "instead of findings (advisory, always exit 0)")
     ap.add_argument("--list-rules", action="store_true")
     args = ap.parse_args(argv)
 

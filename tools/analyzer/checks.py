@@ -1,7 +1,7 @@
 """Whole-program checks for causumx-analyzer.
 
-All four checks run over the frontend-agnostic IR (`cpp_frontend.FileIR`
-et al.) — either frontend (textual or libclang) can feed them.
+All four checks run over the IR the textual frontend builds
+(`cpp_frontend.FileIR` et al.).
 
 Rules:
   layering             module include edge outside the declared DAG

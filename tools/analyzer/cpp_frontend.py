@@ -13,9 +13,7 @@ as a namespace, class, function definition, or plain block, and
 function bodies are then scanned with position-accurate line numbers.
 This is tuned to the codebase's idiom (Google-style C++20, RAII locks
 from util/thread_annotations.h, no macro-generated functions); it is a
-heuristic, not a compiler. `clang_frontend` builds the same IR from
-libclang when the bindings are importable (the CI job pins them), and
-`checks.py` is frontend-agnostic.
+heuristic, not a compiler; `checks.py` consumes only the IR.
 """
 
 from __future__ import annotations
