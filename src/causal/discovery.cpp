@@ -1,8 +1,11 @@
 #include "causal/discovery.h"
 
+#include <stdexcept>
+
 #include "causal/fci.h"
 #include "causal/lingam.h"
 #include "causal/pc.h"
+#include "util/string_utils.h"
 
 namespace causumx {
 
@@ -18,6 +21,16 @@ const char* DiscoveryAlgorithmName(DiscoveryAlgorithm a) {
       return "No-DAG";
   }
   return "?";
+}
+
+DiscoveryAlgorithm ParseDiscoveryAlgorithm(const std::string& name) {
+  const std::string lower = ToLower(name);
+  if (lower == "pc") return DiscoveryAlgorithm::kPc;
+  if (lower == "fci") return DiscoveryAlgorithm::kFci;
+  if (lower == "lingam") return DiscoveryAlgorithm::kLingam;
+  if (lower == "nodag") return DiscoveryAlgorithm::kNoDag;
+  throw std::runtime_error("unknown \"discover\" algorithm \"" + name +
+                           "\" (expected pc, fci, lingam or nodag)");
 }
 
 CausalDag MakeNoDag(const Table& table, const std::string& outcome) {

@@ -24,7 +24,13 @@ struct DiscoveryOptions {
 /// The discovery algorithms the paper evaluates (Section 6.6).
 enum class DiscoveryAlgorithm { kPc, kFci, kLingam, kNoDag };
 
+/// Display name of an algorithm ("PC", "FCI", "LiNGAM", "No-DAG").
 const char* DiscoveryAlgorithmName(DiscoveryAlgorithm a);
+
+/// Parses an algorithm name as written in query specs and on the CLI:
+/// "pc", "fci", "lingam" or "nodag", case-insensitive. Throws
+/// std::runtime_error naming "discover" on anything else.
+DiscoveryAlgorithm ParseDiscoveryAlgorithm(const std::string& name);
 
 /// Runs the selected discovery algorithm over the table's attributes.
 /// `outcome` is used by kNoDag (all attributes point at the outcome) and to

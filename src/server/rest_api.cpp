@@ -293,7 +293,6 @@ HttpServer::Handler MakeHandler(ExplanationService& service,
   BatchOptions batch_options;
   batch_options.default_table = options.default_table;
   batch_options.emit_cache_stats = options.emit_cache_stats;
-  batch_options.default_query_threads = options.default_query_threads;
   const int64_t max_poll_ms = options.max_event_poll_ms;
 
   return [&service, monitors, batch_options,

@@ -1,5 +1,6 @@
 #include "service/batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "storage/storage_error.h"
 #include "util/json.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace causumx {
@@ -40,44 +42,93 @@ SimplePredicate ParseWherePredicate(const std::string& expr,
   throw std::runtime_error("where: no operator found in '" + expr + "'");
 }
 
+size_t ParseSpecCount(const JsonValue& holder, const std::string& key,
+                      size_t fallback, size_t min, size_t max) {
+  const double v = holder.GetNumber(key, static_cast<double>(fallback));
+  // 2^64 is the first double past size_t; casting it or more is UB.
+  if (!(v >= static_cast<double>(min)) || v != std::floor(v) ||
+      v >= 18446744073709551616.0 || static_cast<size_t>(v) > max) {
+    throw std::runtime_error(
+        max == std::numeric_limits<size_t>::max()
+            ? StrFormat("\"%s\" must be an integer >= %zu", key.c_str(), min)
+            : StrFormat("\"%s\" must be an integer in [%zu, %zu]",
+                        key.c_str(), min, max));
+  }
+  return static_cast<size_t>(v);
+}
+
 namespace {
 
-std::vector<std::string> ParseGroupBy(const JsonValue& request) {
-  const JsonValue* gb = request.Find("group_by");
-  if (gb == nullptr) {
-    throw std::runtime_error("request is missing \"group_by\"");
-  }
+// A list-of-names field: a JSON array or an "A,B" comma string.
+std::vector<std::string> ParseNameList(const JsonValue& field) {
   std::vector<std::string> out;
-  if (gb->kind() == JsonValue::Kind::kArray) {
-    for (const auto& v : gb->AsArray()) out.push_back(v.AsString());
+  if (field.kind() == JsonValue::Kind::kArray) {
+    for (const auto& v : field.AsArray()) out.push_back(v.AsString());
   } else {
-    for (auto& part : Split(gb->AsString(), ',')) {
-      out.push_back(Trim(part));
-    }
+    for (auto& part : Split(field.AsString(), ',')) out.push_back(Trim(part));
   }
-  if (out.empty()) throw std::runtime_error("\"group_by\" is empty");
   return out;
 }
 
-CausalDag ResolveDag(const JsonValue& request, const Table& table,
-                     const std::string& outcome) {
-  const std::string dag_path = request.GetString("dag");
-  if (!dag_path.empty()) return ReadDagFile(dag_path);
-  const std::string discover = ToLower(request.GetString("discover"));
-  if (discover.empty() || discover == "nodag") {
-    return MakeNoDag(table, outcome);
+}  // namespace
+
+QuerySpec ParseQuerySpec(const JsonValue& spec, const Table& table,
+                         size_t default_threads) {
+  QuerySpec out;
+  GroupByAvgQuery& query = out.query;
+  const JsonValue* group_by = spec.Find("group_by");
+  if (group_by == nullptr) {
+    throw std::runtime_error("\"group_by\" is required");
   }
-  if (discover == "pc") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kPc, outcome);
+  query.group_by = ParseNameList(*group_by);
+  if (query.group_by.empty()) {
+    throw std::runtime_error("\"group_by\" is empty");
   }
-  if (discover == "fci") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kFci, outcome);
+  query.avg_attribute = spec.GetString("avg");
+  if (query.avg_attribute.empty()) {
+    throw std::runtime_error("\"avg\" is required");
   }
-  if (discover == "lingam") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kLingam, outcome);
+  const std::string where = spec.GetString("where");
+  if (!where.empty()) {
+    query.where = Pattern({ParseWherePredicate(where, table)});
   }
-  throw std::runtime_error("unknown \"discover\" algorithm: " + discover);
+
+  CauSumXConfig& config = out.config;
+  config.k = ParseSpecCount(spec, "k", config.k, 1, 1000);
+  config.theta = spec.GetNumber("theta", config.theta);
+  config.apriori_support = spec.GetNumber("support", config.apriori_support);
+  config.treatment.alpha = spec.GetNumber("alpha", config.treatment.alpha);
+  if (const JsonValue* attrs = spec.Find("grouping_attrs")) {
+    config.grouping_attribute_allowlist = ParseNameList(*attrs);
+  }
+  if (const JsonValue* attrs = spec.Find("treatment_attrs")) {
+    config.treatment_attribute_allowlist = ParseNameList(*attrs);
+  }
+  config.grouping.include_per_group_patterns = spec.GetBool(
+      "per_group_patterns", config.grouping.include_per_group_patterns);
+  config.estimator.min_group_size = ParseSpecCount(
+      spec, "min_group_size", config.estimator.min_group_size, 1);
+  config.num_threads =
+      std::min(ParseSpecCount(spec, "num_threads", default_threads, 0),
+               ThreadPool::DefaultThreads());
+
+  // Last: a "discover" run is the one costly step, so every cheap field
+  // is validated before it.
+  if (const std::string text = spec.GetString("dag_text"); !text.empty()) {
+    out.dag = ParseDagText(text);
+  } else if (const std::string path = spec.GetString("dag"); !path.empty()) {
+    out.dag = ReadDagFile(path);
+  } else {
+    const std::string discover = spec.GetString("discover");
+    out.dag = DiscoverDag(table,
+                          discover.empty() ? DiscoveryAlgorithm::kNoDag
+                                           : ParseDiscoveryAlgorithm(discover),
+                          query.avg_attribute);
+  }
+  return out;
 }
+
+namespace {
 
 // Coerces a JSON array-of-arrays into schema-ordered append rows:
 // numbers into numeric columns, strings into categorical ones, null
@@ -126,20 +177,6 @@ std::vector<std::vector<Value>> ParseJsonRows(const JsonValue& rows_json,
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-// Optional list-of-strings field: a JSON array or an "A,B" comma string.
-std::vector<std::string> ParseAttrList(const JsonValue& request,
-                                       const std::string& key) {
-  const JsonValue* v = request.Find(key);
-  if (v == nullptr) return {};
-  std::vector<std::string> out;
-  if (v->kind() == JsonValue::Kind::kArray) {
-    for (const auto& item : v->AsArray()) out.push_back(item.AsString());
-  } else {
-    for (auto& part : Split(v->AsString(), ',')) out.push_back(Trim(part));
-  }
-  return out;
 }
 
 RequestResult ErrorLine(const std::string& id, const std::string& what) {
@@ -205,43 +242,18 @@ RequestResult ExecuteQueryRequest(ExplanationService& service,
                                "' and no \"csv\" to load");
     }
 
-    GroupByAvgQuery query;
-    query.group_by = ParseGroupBy(request);
-    query.avg_attribute = request.GetString("avg");
-    if (query.avg_attribute.empty()) {
-      throw std::runtime_error("request is missing \"avg\"");
-    }
-    const std::string where = request.GetString("where");
-    if (!where.empty()) {
-      query.where = Pattern({ParseWherePredicate(where, *table)});
-    }
-
-    const CausalDag dag = ResolveDag(request, *table, query.avg_attribute);
-
-    CauSumXConfig config;
-    config.k = static_cast<size_t>(request.GetNumber("k", 5));
-    config.theta = request.GetNumber("theta", 0.75);
-    config.apriori_support = request.GetNumber("support", 0.1);
-    config.treatment.alpha = request.GetNumber("alpha", 0.05);
-    config.grouping_attribute_allowlist =
-        ParseAttrList(request, "grouping_attrs");
-    config.treatment_attribute_allowlist =
-        ParseAttrList(request, "treatment_attrs");
-    config.grouping.include_per_group_patterns = request.GetBool(
-        "per_group_patterns", config.grouping.include_per_group_patterns);
-    config.num_threads = static_cast<size_t>(request.GetNumber(
-        "num_threads",
-        static_cast<double>(options.default_query_threads)));
+    const QuerySpec spec = ParseQuerySpec(request, *table, 1);
 
     Timer timer;
-    const CauSumXResult run = service.Explain(table_name, query, dag, config);
+    const CauSumXResult run =
+        service.Explain(table_name, spec.query, spec.dag, spec.config);
     const double elapsed_ms = timer.Seconds() * 1000.0;
 
     std::ostringstream oss;
     oss << "{\"id\":\"" << JsonEscape(id) << "\",\"table\":\""
         << JsonEscape(table_name) << "\",\"ok\":true,\"elapsed_ms\":"
         << FormatDouble(elapsed_ms, 3)
-        << ",\"summary\":" << SummaryToJson(run.summary, &query);
+        << ",\"summary\":" << SummaryToJson(run.summary, &spec.query);
     if (options.emit_cache_stats) {
       const EvalEngineStats& e = run.cache_stats.eval;
       const EstimatorCacheStats& m = run.cache_stats.estimator;

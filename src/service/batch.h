@@ -10,12 +10,18 @@
 //    "group_by": ["Country"],        // or a "A,B" comma string
 //    "avg": "Salary",
 //    "where": "Role=Engineer",       // optional filter predicate
-//    "dag": "graph.txt",             // or "discover": "pc|fci|lingam|nodag"
+//    "dag_text": "Role -> Salary",   // or "dag": "graph.txt", or
+//                                    // "discover": "pc|fci|lingam|nodag"
 //    "k": 5, "theta": 0.75, "support": 0.1, "alpha": 0.05,
 //    "grouping_attrs": ["Country"],  // optional attribute allowlists
 //    "treatment_attrs": ["Role"],
 //    "per_group_patterns": true,     // mine per-group grouping patterns
+//    "min_group_size": 10,           // min treated and control rows
 //    "num_threads": 1}               // per-query mining threads
+//
+// Every field from "group_by" on is read by ParseQuerySpec, which the
+// windowed monitors (stream/monitor.h) share, so a query means the same
+// thing in a batch line, an explain request and a monitor spec.
 //
 // The same request shape is served over HTTP by POST /v1/explain
 // (server/rest_api.h), which funnels into the same executor — a query
@@ -47,8 +53,10 @@
 #define CAUSUMX_SERVICE_BATCH_H_
 
 #include <iosfwd>
+#include <limits>
 #include <string>
 
+#include "core/causumx.h"
 #include "dataset/predicate.h"
 #include "dataset/table.h"
 #include "service/explanation_service.h"
@@ -63,14 +71,40 @@ namespace causumx {
 SimplePredicate ParseWherePredicate(const std::string& expr,
                                     const Table& table);
 
+/// Reads an integer spec field in [min, max] (absent = `fallback`).
+/// Throws std::runtime_error naming the field on a fractional or
+/// out-of-range value. The one integer reader for query and monitor
+/// specs.
+size_t ParseSpecCount(const JsonValue& holder, const std::string& key,
+                      size_t fallback, size_t min,
+                      size_t max = std::numeric_limits<size_t>::max());
+
+/// One CauSumX query as a spec describes it: the aggregate view, its
+/// causal DAG, and the knobs of Algorithm 1.
+struct QuerySpec {
+  GroupByAvgQuery query;  ///< group-by, AVG outcome, optional WHERE
+  CausalDag dag;          ///< from "dag_text", "dag" or "discover"
+  CauSumXConfig config;   ///< k, theta, support, alpha, allowlists, ...
+};
+
+/// Parses the query fields of a request or monitor spec (the field list
+/// above, from "group_by" on) against `table`, which types the WHERE
+/// predicate and feeds a "discover" run. The DAG source is "dag_text",
+/// else a "dag" file, else "discover" (default nodag). Validation:
+/// "group_by" is required and non-empty, "avg" is required, "k" is an
+/// integer in [1, 1000] (the paper uses k <= 10; the bound keeps one
+/// request's selection work small), "min_group_size" an integer >= 1, and
+/// "num_threads" an integer >= 0 (absent = `default_threads`) clamped
+/// to ThreadPool::DefaultThreads() — results are bit-identical for any
+/// thread count. Throws std::runtime_error naming the field otherwise.
+QuerySpec ParseQuerySpec(const JsonValue& spec, const Table& table,
+                         size_t default_threads);
+
 /// Execution knobs shared by RunBatch and the REST endpoints that
 /// funnel into the same executor.
 struct BatchOptions {
   /// Table used by requests that name neither "table" nor "csv".
   std::string default_table = "default";
-  /// Per-query mining threads when a request doesn't say (1 keeps the
-  /// pool-level concurrency as the parallelism source).
-  size_t default_query_threads = 1;
   /// Echo engine/estimator cache counters into each result line.
   bool emit_cache_stats = false;
 };

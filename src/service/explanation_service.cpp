@@ -42,6 +42,11 @@ std::string ContextKey(const CausalDag& dag, const EstimatorOptions& opt) {
   return key;
 }
 
+// Segment storage policy of every service engine. The warm snapshot key
+// records it ("|z<n>"), so a snapshot only warms an engine that stores
+// segments the same way.
+constexpr SegmentCompression kSegmentCompression = SegmentCompression::kAuto;
+
 // Warm-state snapshot container identity (storage/snapshot.h).
 constexpr char kWarmSnapshotKind[] = "causumx-snapshot";
 constexpr uint32_t kWarmSnapshotVersion = 1;
@@ -94,7 +99,7 @@ EvalEngineOptions ExplanationService::EngineOptions() const {
   options.cache_enabled = options_.cache_enabled;
   options.num_shards = options_.num_shards;
   options.pool = pool_;
-  options.compression = options_.segment_compression;
+  options.compression = kSegmentCompression;
   return options;
 }
 
@@ -348,7 +353,7 @@ std::string ExplanationService::WarmSnapshotKey(const Table& table) const {
                    (unsigned long long)TableContentHash(table),
                    (unsigned long long)table.version(), options_.num_shards,
                    options_.cache_enabled ? 1 : 0,
-                   static_cast<int>(options_.segment_compression));
+                   static_cast<int>(kSegmentCompression));
 }
 
 size_t ExplanationService::SaveSnapshot(const std::string& name) {
@@ -471,7 +476,7 @@ bool ExplanationService::RestoreTable(const std::string& name) {
     const std::string config_part =
         StrFormat("|s%zu|c%d|z%d", options_.num_shards,
                   options_.cache_enabled ? 1 : 0,
-                  static_cast<int>(options_.segment_compression));
+                  static_cast<int>(kSegmentCompression));
     if (snap.key().compare(0, hash_part.size(), hash_part) != 0) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "snapshot: key does not match embedded table");

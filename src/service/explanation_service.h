@@ -56,12 +56,6 @@ struct ServiceOptions {
   /// When false, every table's engine runs in cache-bypass mode
   /// (debugging; results are bit-identical, just slower).
   bool cache_enabled = true;
-  /// Storage policy for cached predicate segments in every table's
-  /// engine (see SegmentCompression): kAuto trades AND-path decompression
-  /// for resident bytes on sparse predicates, which stretches
-  /// memory_budget_bytes before the LRU starts evicting. Bit-identical
-  /// results under every policy.
-  SegmentCompression segment_compression = SegmentCompression::kAuto;
   /// Directory for durable snapshots (columnar table + warm caches).
   /// Empty = persistence off (the pre-storage behavior). When set,
   /// RegisterTable/LoadCsv attempt a warm restore from the table's

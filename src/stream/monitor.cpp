@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "causal/dag_io.h"
-#include "causal/discovery.h"
 #include "core/json_export.h"
 #include "dataset/table_io.h"
 #include "service/batch.h"
@@ -30,75 +28,6 @@ constexpr char kMonitorSnapshotKind[] = "causumx-monitors";
 constexpr uint32_t kMonitorSnapshotVersion = 1;
 constexpr char kMonitorSnapshotFile[] = "causumx-monitors.monsnap";
 
-// "group_by": JSON array of attribute names or an "A,B" comma string
-// (the same shapes the batch executor accepts).
-std::vector<std::string> ParseGroupBy(const JsonValue& spec) {
-  const JsonValue* gb = spec.Find("group_by");
-  if (gb == nullptr) {
-    throw std::runtime_error("monitor spec is missing \"group_by\"");
-  }
-  std::vector<std::string> out;
-  if (gb->kind() == JsonValue::Kind::kArray) {
-    for (const auto& v : gb->AsArray()) out.push_back(v.AsString());
-  } else {
-    for (auto& part : Split(gb->AsString(), ',')) out.push_back(Trim(part));
-  }
-  if (out.empty()) throw std::runtime_error("monitor \"group_by\" is empty");
-  return out;
-}
-
-// Optional list-of-strings field, array or comma-string shaped.
-std::vector<std::string> ParseAttrList(const JsonValue& spec,
-                                       const std::string& key) {
-  const JsonValue* v = spec.Find(key);
-  if (v == nullptr) return {};
-  std::vector<std::string> out;
-  if (v->kind() == JsonValue::Kind::kArray) {
-    for (const auto& item : v->AsArray()) out.push_back(item.AsString());
-  } else {
-    for (auto& part : Split(v->AsString(), ',')) out.push_back(Trim(part));
-  }
-  return out;
-}
-
-// The monitor's DAG sources, in priority order: inline "dag_text", a
-// "dag" file path, a "discover" algorithm run over the creation-time
-// table (the window is empty at creation, so discovery needs the bound
-// table's data), or the no-DAG default.
-CausalDag ResolveMonitorDag(const JsonValue& spec, const Table& table,
-                            const std::string& outcome) {
-  const std::string dag_text = spec.GetString("dag_text");
-  if (!dag_text.empty()) return ParseDagText(dag_text);
-  const std::string dag_path = spec.GetString("dag");
-  if (!dag_path.empty()) return ReadDagFile(dag_path);
-  const std::string discover = ToLower(spec.GetString("discover"));
-  if (discover.empty() || discover == "nodag") {
-    return MakeNoDag(table, outcome);
-  }
-  if (discover == "pc") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kPc, outcome);
-  }
-  if (discover == "fci") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kFci, outcome);
-  }
-  if (discover == "lingam") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kLingam, outcome);
-  }
-  throw std::runtime_error("monitor: unknown \"discover\" algorithm: " +
-                           discover);
-}
-
-// A spec integer >= `min`; throws naming the field on anything else.
-size_t ParseSpecCount(const JsonValue& holder, const std::string& key,
-                      double fallback, double min) {
-  const double v = holder.GetNumber(key, fallback);
-  if (v < min || v != std::floor(v)) {
-    throw std::runtime_error("monitor: \"" + key + "\" must be an integer >= " +
-                             std::to_string(static_cast<long long>(min)));
-  }
-  return static_cast<size_t>(v);
-}
-
 }  // namespace
 
 StreamMonitor::StreamMonitor(std::string id, std::string spec_json,
@@ -112,32 +41,13 @@ StreamMonitor::StreamMonitor(std::string id, std::string spec_json,
     throw std::runtime_error("monitor spec is missing \"table\"");
   }
 
-  query_.group_by = ParseGroupBy(spec);
-  query_.avg_attribute = spec.GetString("avg");
-  if (query_.avg_attribute.empty()) {
-    throw std::runtime_error("monitor spec is missing \"avg\"");
-  }
-  const std::string where = spec.GetString("where");
-  if (!where.empty()) {
-    query_.where = Pattern({ParseWherePredicate(where, bound_table)});
-  }
-
-  dag_ = ResolveMonitorDag(spec, bound_table, query_.avg_attribute);
-
-  config_.k = ParseSpecCount(spec, "k", 5, 1);
-  config_.theta = spec.GetNumber("theta", 0.75);
-  config_.apriori_support = spec.GetNumber("support", 0.1);
-  config_.treatment.alpha = spec.GetNumber("alpha", 0.05);
-  config_.grouping_attribute_allowlist = ParseAttrList(spec, "grouping_attrs");
-  config_.treatment_attribute_allowlist =
-      ParseAttrList(spec, "treatment_attrs");
-  config_.grouping.include_per_group_patterns = spec.GetBool(
-      "per_group_patterns", config_.grouping.include_per_group_patterns);
-  config_.num_threads = ParseSpecCount(spec, "num_threads", 0, 0);
+  // The window starts empty, so a "discover" DAG is learned from the
+  // bound table's data at creation.
+  QuerySpec parsed = ParseQuerySpec(spec, bound_table, 0);
+  query_ = std::move(parsed.query);
+  dag_ = std::move(parsed.dag);
+  config_ = std::move(parsed.config);
   config_.num_shards = ParseSpecCount(spec, "num_shards", 0, 0);
-  config_.estimator.min_group_size = ParseSpecCount(
-      spec, "min_group_size",
-      static_cast<double>(config_.estimator.min_group_size), 1);
 
   const JsonValue* win = spec.Find("window");
   if (win == nullptr) {

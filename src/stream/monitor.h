@@ -111,10 +111,14 @@ struct MonitorStatus {
 /// may run concurrently.
 class StreamMonitor {
  public:
-  /// Parses and validates `spec_json` (see docs/API.md for the schema:
-  /// table/group_by/avg/where, dag_text|dag|discover, CauSumX knobs,
-  /// window {kind,size_rows,slide_rows}, thresholds
-  /// {cate_delta,topk_churn}, emit_summaries, max_events).
+  /// Parses and validates `spec_json` (see docs/API.md for the schema):
+  /// the query fields (group_by, avg, where, dag_text|dag|discover, k,
+  /// theta, support, alpha, grouping_attrs, treatment_attrs,
+  /// per_group_patterns, min_group_size, num_threads) go through
+  /// ParseQuerySpec (service/batch.h), the same parser as an explain
+  /// request; the monitor reads only its own fields: table, window
+  /// {kind,size_rows,slide_rows}, thresholds {cate_delta,topk_churn},
+  /// emit_summaries, max_events, num_shards, compression.
   /// `bound_table` is the watched table at creation time — it supplies
   /// the window schema, WHERE-predicate typing, and the data a
   /// "discover" DAG is learned from; the window itself starts empty and

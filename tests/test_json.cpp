@@ -6,11 +6,14 @@
 #include <limits>
 #include <sstream>
 
+#include "causal/dag_io.h"
+#include "causal/discovery.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "service/batch.h"
 #include "service/explanation_service.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace causumx {
 namespace {
@@ -165,6 +168,87 @@ TEST(BatchTest, ParseWherePredicateForms) {
 
   EXPECT_THROW(ParseWherePredicate("unknown=1", t), std::runtime_error);
   EXPECT_THROW(ParseWherePredicate("no operator", t), std::runtime_error);
+}
+
+// ParseQuerySpec: the defaults, the num_threads clamp, the dag_text >
+// dag > discover priority, and one reading of a body for both callers
+// (explain passes default_threads 1, monitors 0).
+TEST(BatchTest, ParseQuerySpecDefaultsClampAndCallers) {
+  Table t;
+  t.AddColumn("cat", ColumnType::kCategorical);
+  t.AddColumn("cat2", ColumnType::kCategorical);
+  t.AddColumn("num", ColumnType::kDouble);
+  t.AddRow({Value("x"), Value("y"), Value(1.5)});
+
+  CauSumXConfig expected;
+  expected.k = 5;
+  expected.theta = 0.75;
+  expected.apriori_support = 0.1;
+  expected.treatment.alpha = 0.05;
+  const JsonValue minimal =
+      JsonValue::Parse("{\"group_by\":\"cat\",\"avg\":\"num\"}");
+  for (const size_t threads : {size_t{0}, size_t{1}}) {
+    const QuerySpec spec = ParseQuerySpec(minimal, t, threads);
+    EXPECT_EQ(spec.query.group_by, std::vector<std::string>{"cat"});
+    EXPECT_EQ(spec.query.avg_attribute, "num");
+    EXPECT_TRUE(spec.query.where.IsEmpty());
+    EXPECT_EQ(DagToText(spec.dag), DagToText(MakeNoDag(t, "num")));
+    const CauSumXConfig& c = spec.config;
+    EXPECT_EQ(c.k, expected.k);
+    EXPECT_EQ(c.theta, expected.theta);
+    EXPECT_EQ(c.apriori_support, expected.apriori_support);
+    EXPECT_EQ(c.treatment.alpha, expected.treatment.alpha);
+    EXPECT_EQ(c.grouping_attribute_allowlist,
+              expected.grouping_attribute_allowlist);
+    EXPECT_EQ(c.treatment_attribute_allowlist,
+              expected.treatment_attribute_allowlist);
+    EXPECT_EQ(c.grouping.include_per_group_patterns,
+              expected.grouping.include_per_group_patterns);
+    EXPECT_EQ(c.estimator.min_group_size, expected.estimator.min_group_size);
+    EXPECT_EQ(c.num_threads, threads);
+  }
+
+  const size_t max_threads = ThreadPool::DefaultThreads();
+  const JsonValue too_many = JsonValue::Parse(
+      "{\"group_by\":[\"cat\"],\"avg\":\"num\",\"num_threads\":" +
+      std::to_string(max_threads + 1) + "}");
+  EXPECT_EQ(ParseQuerySpec(too_many, t, 1).config.num_threads, max_threads);
+  // Past size_t's range the double -> size_t cast would be undefined.
+  EXPECT_THROW(ParseSpecCount(JsonValue::Parse("{\"n\":1e30}"), "n", 0, 0),
+               std::runtime_error);
+
+  // Every query field set; the "dag" file is never read because
+  // "dag_text" outranks it.
+  const JsonValue full = JsonValue::Parse(
+      "{\"group_by\":\"cat, cat2\",\"avg\":\"num\",\"where\":\"cat=x\","
+      "\"dag_text\":\"cat -> num\",\"dag\":\"missing-dag-file.txt\","
+      "\"discover\":\"bogus\",\"k\":3,\"theta\":0.5,\"support\":0.2,"
+      "\"alpha\":0.1,\"grouping_attrs\":[\"cat\"],"
+      "\"treatment_attrs\":\"cat2\",\"per_group_patterns\":false,"
+      "\"min_group_size\":4}");
+  const QuerySpec explain = ParseQuerySpec(full, t, 1);
+  const QuerySpec monitor = ParseQuerySpec(full, t, 0);
+  for (const QuerySpec* spec : {&explain, &monitor}) {
+    EXPECT_EQ(spec->query.group_by,
+              (std::vector<std::string>{"cat", "cat2"}));
+    EXPECT_EQ(spec->query.avg_attribute, "num");
+    EXPECT_TRUE(spec->query.where ==
+                Pattern({ParseWherePredicate("cat=x", t)}));
+    EXPECT_EQ(DagToText(spec->dag), DagToText(ParseDagText("cat -> num")));
+    const CauSumXConfig& c = spec->config;
+    EXPECT_EQ(c.k, 3u);
+    EXPECT_EQ(c.theta, 0.5);
+    EXPECT_EQ(c.apriori_support, 0.2);
+    EXPECT_EQ(c.treatment.alpha, 0.1);
+    EXPECT_EQ(c.grouping_attribute_allowlist,
+              std::vector<std::string>{"cat"});
+    EXPECT_EQ(c.treatment_attribute_allowlist,
+              std::vector<std::string>{"cat2"});
+    EXPECT_FALSE(c.grouping.include_per_group_patterns);
+    EXPECT_EQ(c.estimator.min_group_size, 4u);
+  }
+  EXPECT_EQ(explain.config.num_threads, 1u);
+  EXPECT_EQ(monitor.config.num_threads, 0u);
 }
 
 // ---- JsonWriter ------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bad_query_specs.h"
 #include "causal/dag_io.h"
 #include "datagen/synthetic.h"
 #include "dataset/table.h"
@@ -336,6 +337,22 @@ TEST(MonitorSpecTest, RejectsMalformedSpecs) {
   StreamMonitor ok("m", spec("\"window\":{\"size_rows\":4}"), schema,
                    nullptr);
   EXPECT_EQ(ok.Status().rows_observed, 0u);
+  // The bad query fields POST /v1/explain rejects (bad_query_specs.h)
+  // throw here too, naming the field.
+  for (const BadQuerySpec& bad : kBadQuerySpecs) {
+    const std::string json = BadSpecJson(
+        bad, "\"table\":\"t\",\"avg\":\"y\",\"window\":{\"size_rows\":4}",
+        "\"group_by\":[\"g\"]");
+    try {
+      StreamMonitor m("m", json, schema, nullptr);
+      ADD_FAILURE() << bad.member << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + std::string(bad.field) +
+                                           "\""),
+                std::string::npos)
+          << bad.member << " -> " << e.what();
+    }
+  }
 }
 
 // Snapshot round trip: a monitor snapshotted mid-stream and restored

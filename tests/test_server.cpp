@@ -11,12 +11,15 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bad_query_specs.h"
 #include "causal/discovery.h"
 #include "core/causumx.h"
 #include "core/json_export.h"
@@ -395,6 +398,51 @@ TEST(RestApiTest, TypedErrorResponses) {
   EXPECT_EQ(
       client.Request("POST", "/v1/tables/synthetic/append", "{}").status,
       400);
+}
+
+// The shared bad-input table (bad_query_specs.h): each is a 400 whose
+// error names the field, as the monitor spec rejects the same inputs.
+TEST(RestApiTest, ExplainRejectsBadQueryFieldsNamingTheField) {
+  ServerWorld w;
+  HttpClient client("127.0.0.1", w.server.port());
+  for (const BadQuerySpec& bad : kBadQuerySpecs) {
+    const auto r = client.Request(
+        "POST", "/v1/explain",
+        BadSpecJson(bad, "\"table\":\"synthetic\",\"avg\":\"O\"",
+                    "\"group_by\":[\"G\"]"));
+    EXPECT_EQ(r.status, 400) << bad.member;
+    const std::string error = JsonValue::Parse(r.body).GetString("error");
+    EXPECT_NE(error.find("\"" + std::string(bad.field) + "\""),
+              std::string::npos)
+        << bad.member << " -> " << error;
+  }
+}
+
+// An inline "dag_text" answers byte-identically to the same DAG named
+// as a "dag" file. T1 confounds T2 in this DAG, so its answer differs
+// from the No-DAG one and a parser that ignored the DAG would show.
+TEST(RestApiTest, ExplainDagTextMatchesDagFile) {
+  ServerWorld w;
+  const std::string dag_text = "T1 -> T2\nT1 -> O\nT2 -> O\nT3 -> O\n";
+  const std::string path = ::testing::TempDir() + "causumx_explain_dag.txt";
+  std::ofstream(path) << dag_text;
+  auto with_dag = [&](const std::string& member) {
+    std::string body = w.ExplainBody();
+    const std::string nodag = "\"discover\":\"nodag\"";
+    body.replace(body.find(nodag), nodag.size(), member);
+    return body;
+  };
+  HttpClient client("127.0.0.1", w.server.port());
+  const auto from_file = client.Request(
+      "POST", "/v1/explain", with_dag("\"dag\":\"" + JsonEscape(path) + "\""));
+  const auto from_text = client.Request(
+      "POST", "/v1/explain",
+      with_dag("\"dag_text\":\"" + JsonEscape(dag_text) + "\""));
+  std::remove(path.c_str());
+  ASSERT_EQ(from_file.status, 200) << from_file.body;
+  ASSERT_EQ(from_text.status, 200) << from_text.body;
+  EXPECT_NE(ExtractSummary(from_file.body), w.ReferenceSummaryJson());
+  EXPECT_EQ(ExtractSummary(from_text.body), ExtractSummary(from_file.body));
 }
 
 TEST(RestApiTest, OversizedBodyIs413) {

@@ -80,7 +80,6 @@
 #include <csignal>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -794,19 +793,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "dag: %zu nodes, %zu edges from %s\n",
                    dag.NumNodes(), dag.NumEdges(), opt.dag_path.c_str());
     } else if (!opt.discover.empty()) {
-      const std::map<std::string, DiscoveryAlgorithm> algos = {
-          {"pc", DiscoveryAlgorithm::kPc},
-          {"fci", DiscoveryAlgorithm::kFci},
-          {"lingam", DiscoveryAlgorithm::kLingam},
-          {"nodag", DiscoveryAlgorithm::kNoDag},
-      };
-      auto it = algos.find(opt.discover);
-      if (it == algos.end()) {
-        std::fprintf(stderr, "unknown --discover algorithm: %s\n",
-                     opt.discover.c_str());
-        return 2;
-      }
-      dag = DiscoverDag(*table, it->second, opt.avg_attribute);
+      dag = DiscoverDag(*table, ParseDiscoveryAlgorithm(opt.discover),
+                        opt.avg_attribute);
       std::fprintf(stderr, "dag: discovered by %s — %zu edges\n",
                    opt.discover.c_str(), dag.NumEdges());
     } else {
