@@ -1,7 +1,8 @@
 // Fuzz harness for the storage layer's deserializers — the code that
 // reads snapshot bytes a crashed, truncated, or hostile writer may have
 // left on disk (src/storage/snapshot.*, src/dataset/table_io.*,
-// src/util/compressed_bitset.*).
+// src/util/compressed_bitset.*, and the warm-cache restore constructors
+// of src/engine/eval_engine.* and src/causal/estimator_context.*).
 //
 // Properties checked on every input:
 //   1. SnapshotReader::Parse either returns a container or throws
@@ -16,6 +17,12 @@
 //      a forged key must never produce a silently-wrong table.
 //   4. SegmentBits::Deserialize on arbitrary bytes round-trips through
 //      Serialize, or throws — never crashes, never mis-sizes.
+//   5. The EvalEngine restore constructor over a small fixed table either
+//      throws StorageError or builds an engine whose ExportCacheState
+//      reproduces the input bytes exactly.
+//   6. The EstimatorContext restore constructor, over an engine restored
+//      from a fixed exported state of that table, either throws
+//      StorageError or re-exports the input bytes exactly.
 //
 // Links against libFuzzer under clang (-DCAUSUMX_FUZZERS=ON); under GCC
 // the same TU builds as a standalone corpus replayer (see
@@ -24,11 +31,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "causal/dag_io.h"
+#include "causal/estimator_context.h"
 #include "dataset/table.h"
 #include "dataset/table_io.h"
+#include "engine/eval_engine.h"
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
 #include "util/compressed_bitset.h"
@@ -123,6 +134,78 @@ void CheckSegment(const std::string& bytes) {
   }
 }
 
+// The small fixed table the restore constructors bind to.
+std::shared_ptr<const causumx::Table> FixedTable() {
+  static const std::shared_ptr<const causumx::Table> table = [] {
+    causumx::Table t;
+    t.AddColumn("city", causumx::ColumnType::kCategorical);
+    t.AddColumn("score", causumx::ColumnType::kDouble);
+    t.AddColumn("y", causumx::ColumnType::kDouble);
+    const char* cities[] = {"lima", "oslo", "quito"};
+    for (size_t i = 0; i < 200; ++i) {
+      t.AddRow({causumx::Value(std::string(cities[i % 3])),
+                causumx::Value(static_cast<double>(i % 17)),
+                causumx::Value(static_cast<double>(i % 5) +
+                               (i % 3 == 0 ? 2.0 : 0.0))});
+    }
+    return std::make_shared<const causumx::Table>(std::move(t));
+  }();
+  return table;
+}
+
+// The predicates the fixed engine state interns (ids 0 and 1).
+causumx::Pattern FixedPattern() {
+  return causumx::Pattern({
+      causumx::SimplePredicate("city", causumx::CompareOp::kEq,
+                               causumx::Value(std::string("lima"))),
+      causumx::SimplePredicate("score", causumx::CompareOp::kGt,
+                               causumx::Value(8.0)),
+  });
+}
+
+// The exported state of a two-shard engine over FixedTable with
+// FixedPattern evaluated: the engine every memo input restores over.
+const std::string& FixedEngineState() {
+  static const std::string state = [] {
+    causumx::EvalEngineOptions options;
+    options.num_shards = 2;
+    causumx::EvalEngine engine(FixedTable(), options);
+    engine.Evaluate(FixedPattern());
+    return engine.ExportCacheState();
+  }();
+  return state;
+}
+
+const causumx::CausalDag& FixedDag() {
+  static const causumx::CausalDag dag =
+      causumx::ParseDagText("city -> y\nscore -> y\n");
+  return dag;
+}
+
+void CheckEngineState(const std::string& bytes) {
+  std::string again;
+  try {
+    const causumx::EvalEngine engine(FixedTable(), {}, bytes);
+    again = engine.ExportCacheState();
+  } catch (const causumx::StorageError&) {
+    return;  // typed rejection is correct
+  }
+  if (again != bytes) Die("engine state re-export changed bytes", "");
+}
+
+void CheckMemoState(const std::string& bytes) {
+  const auto engine = std::make_shared<causumx::EvalEngine>(
+      FixedTable(), causumx::EvalEngineOptions{}, FixedEngineState());
+  std::string again;
+  try {
+    const causumx::EstimatorContext context(engine, FixedDag(), {}, bytes);
+    again = context.ExportMemoState();
+  } catch (const causumx::StorageError&) {
+    return;  // typed rejection is correct
+  }
+  if (again != bytes) Die("memo state re-export changed bytes", "");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -133,11 +216,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data + 1), size - 1);
 
   // The first byte routes to one deserializer, so one corpus exercises
-  // all three entry points and the fuzzer can mutate across them.
-  switch (data[0] % 3) {
+  // all five entry points and the fuzzer can mutate across them.
+  switch (data[0] % 5) {
     case 0: CheckContainer(bytes); break;
     case 1: CheckTable(bytes); break;
     case 2: CheckSegment(bytes); break;
+    case 3: CheckEngineState(bytes); break;
+    case 4: CheckMemoState(bytes); break;
   }
   return 0;
 }

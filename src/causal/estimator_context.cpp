@@ -22,9 +22,31 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
                                    const EstimatorContext& base,
                                    size_t dropped_prefix_rows)
     : engine_(std::move(engine)), dag_(base.dag_), options_(base.options_) {
-  const size_t old_rows = base.engine_->table().NumRows();
+  // Snapshot phase: base.memo_mu_ is held only to copy the raw state —
+  // queries still running on the base contend with the copy, not with
+  // the O(subpops x rows) shifting (the same lock-minimizing split the
+  // EvalEngine rebind ctor uses).
+  CarryMemo(base.SnapshotMemo(), base.engine_->table().NumRows(),
+            dropped_prefix_rows);
+}
+
+EstimatorContext::MemoSnapshot EstimatorContext::SnapshotMemo() const {
+  MemoSnapshot snap;
+  util::MutexLock lock(memo_mu_);
+  snap.next_subpop_id = next_subpop_id_;
+  for (const auto& [hash, bucket] : subpop_ids_) {
+    snap.subpops.insert(snap.subpops.end(), bucket.begin(), bucket.end());
+  }
+  snap.entries.reserve(memo_.size());
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    snap.entries.emplace_back(*it, memo_.find(*it)->second.est);
+  }
+  return snap;
+}
+
+void EstimatorContext::CarryMemo(MemoSnapshot base, size_t base_rows,
+                                 size_t dropped) {
   const size_t new_rows = engine_->table().NumRows();
-  const size_t dropped = dropped_prefix_rows;
   // Memo keys are only meaningful for predicate ids the new engine
   // inherited. The engine's intern table was snapshotted (in its rebind
   // ctor) before this memo is, so a query racing the rebind may have
@@ -33,52 +55,46 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
   // predicates arrive first. Carrying such an entry could silently serve
   // one treatment's CATE for another; drop them instead.
   const size_t known = engine_->NumInterned();
-  // Snapshot phase: base.memo_mu_ is held only to copy the raw state —
-  // queries still running on the base contend with the copy, not with
-  // the O(subpops x rows) shifting below (the same lock-minimizing split
-  // the EvalEngine rebind ctor uses).
-  std::vector<std::pair<Bitset, uint32_t>> subpops;
-  std::vector<std::pair<MemoKey, MemoEntry>> entries;  // LRU, oldest first
-  {
-    util::MutexLock lock(base.memo_mu_);
-    next_subpop_id_ = base.next_subpop_id_;
-    for (const auto& [hash, bucket] : base.subpop_ids_) {
-      for (const auto& [bits, id] : bucket) subpops.emplace_back(bits, id);
-    }
-    entries.reserve(base.memo_.size());
-    for (auto it = base.lru_.rbegin(); it != base.lru_.rend(); ++it) {
-      entries.emplace_back(*it, base.memo_.find(*it)->second);
-    }
-  }
+  // Uncontended (the context is still private); taken for the analysis.
+  util::MutexLock lock(memo_mu_);
+  next_subpop_id_ = base.next_subpop_id;
   // Carry exactly the subpopulations that lost no row: their bits shift
   // down by the dropped prefix and zero-extend over the appended rows
   // (preserving ids — the carried memo keys reference them), and
   // re-bucket under the new hash. Two distinct carried subpopulations
   // stay distinct: both prefixes were empty, so they already differed in
   // the surviving range.
-  std::vector<bool> id_carried(static_cast<size_t>(next_subpop_id_), false);
-  for (auto& [bits, id] : subpops) {
-    if (bits.size() != old_rows) continue;           // stale universe
+  std::vector<uint32_t> carried;
+  for (auto& [bits, id] : base.subpops) {
+    if (bits.size() != base_rows) continue;          // stale universe
     if (bits.CountRange(0, dropped) != 0) continue;  // lost rows
     bits.DropPrefix(dropped);
     bits.Resize(new_rows);
     const uint64_t h = bits.Hash();
     subpop_bytes_ += SubpopEntryBytes(bits.size());
-    if (id < id_carried.size()) id_carried[id] = true;
+    carried.push_back(id);
     subpop_ids_[h].emplace_back(std::move(bits), id);
   }
+  std::sort(carried.begin(), carried.end());
   // Carry the memo, preserving LRU order (`entries` runs least to most
   // recent; each push_front leaves the most recent at the front). Keys
   // are sorted, so the back is the maximum predicate id.
-  for (auto& [key, src] : entries) {
+  for (auto& [key, est] : base.entries) {
     if (!key.treatment.empty() && key.treatment.back() >= known) continue;
-    if (key.subpop_id >= id_carried.size() || !id_carried[key.subpop_id]) {
+    if (!std::binary_search(carried.begin(), carried.end(), key.subpop_id)) {
       continue;
     }
-    lru_.push_front(key);
-    MemoEntry entry{std::move(src.est), lru_.begin(), src.bytes};
-    memo_bytes_ += entry.bytes;
-    memo_.emplace(std::move(key), std::move(entry));
+    const size_t bytes = EntryBytes(key);
+    auto [it, inserted] =
+        memo_.emplace(std::move(key), MemoEntry{std::move(est), {}, bytes});
+    if (!inserted) {
+      // A memo map has no duplicates; only a damaged export has them.
+      throw StorageError(StorageErrorKind::kCorrupt,
+                         "memo state: duplicate entry");
+    }
+    lru_.push_front(it->first);
+    it->second.lru_it = lru_.begin();
+    memo_bytes_ += bytes;
   }
   n_migrated_.store(memo_.size(), std::memory_order_relaxed);
 }
@@ -508,38 +524,24 @@ Bitset GetBitset(ByteReader* r) {
 }  // namespace
 
 std::string EstimatorContext::ExportMemoState() const {
-  // Copy under the lock, serialize outside it (the same lock-minimizing
-  // split as the append-migration constructor).
-  std::vector<std::pair<uint32_t, Bitset>> subpops;
-  std::vector<std::pair<MemoKey, EffectEstimate>> entries;  // oldest first
-  uint32_t next_id = 0;
-  {
-    util::MutexLock lock(memo_mu_);
-    next_id = next_subpop_id_;
-    for (const auto& [hash, bucket] : subpop_ids_) {
-      for (const auto& [bits, id] : bucket) subpops.emplace_back(id, bits);
-    }
-    entries.reserve(memo_.size());
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      entries.emplace_back(*it, memo_.find(*it)->second.est);
-    }
-  }
+  // Copy under the lock, serialize outside it.
+  MemoSnapshot snap = SnapshotMemo();
   // The intern table iterates in unordered_map order; sort by id so the
   // exported bytes are deterministic for identical cache state.
-  std::sort(subpops.begin(), subpops.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(snap.subpops.begin(), snap.subpops.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
 
   ByteWriter w;
   w.PutU64(engine_->table().NumRows());
   w.PutVarint(engine_->NumInterned());
-  w.PutVarint(next_id);
-  w.PutVarint(subpops.size());
-  for (const auto& [id, bits] : subpops) {
+  w.PutVarint(snap.next_subpop_id);
+  w.PutVarint(snap.subpops.size());
+  for (const auto& [bits, id] : snap.subpops) {
     w.PutVarint(id);
     PutBitset(&w, bits);
   }
-  w.PutVarint(entries.size());
-  for (const auto& [key, est] : entries) {
+  w.PutVarint(snap.entries.size());
+  for (const auto& [key, est] : snap.entries) {
     w.PutVarint(key.treatment.size());
     for (PredicateId id : key.treatment) w.PutVarint(id);
     w.PutString(key.outcome);
@@ -555,38 +557,37 @@ std::string EstimatorContext::ExportMemoState() const {
   return w.TakeBytes();
 }
 
-size_t EstimatorContext::ImportMemoState(const std::string& bytes) {
-  ByteReader r(bytes);
+EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
+                                   const CausalDag& dag,
+                                   EstimatorOptions options,
+                                   const std::string& exported_memo)
+    : engine_(std::move(engine)), dag_(dag), options_(options) {
+  ByteReader r(exported_memo);
   const size_t rows = engine_->table().NumRows();
   if (r.GetU64() != rows) {
     throw StorageError(StorageErrorKind::kStale,
                        "memo state: universe size mismatch");
   }
-  // The memo keys reference the engine's dense predicate ids; every id
-  // the exporting engine knew must already be interned here (restore
-  // the engine cache first).
+  // The memo keys reference the engine's dense predicate ids: the
+  // exporting engine must have known exactly the ids this one restored.
   const uint64_t known = r.GetVarint();
-  if (known > engine_->NumInterned()) {
+  if (known != engine_->NumInterned()) {
     throw StorageError(StorageErrorKind::kStale,
                        "memo state: predicate id space mismatch");
   }
+  MemoSnapshot base;
   const uint64_t next_id = r.GetVarint();
   const uint64_t n_subpops = r.GetVarint();
-  if (n_subpops > next_id || n_subpops > bytes.size()) {
+  if (next_id > UINT32_MAX || n_subpops > next_id ||
+      n_subpops > exported_memo.size()) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "memo state: implausible subpopulation count");
   }
-
-  util::MutexLock lock(memo_mu_);
-  if (!memo_.empty() || next_subpop_id_ != 0) {
-    throw std::logic_error(
-        "EstimatorContext::ImportMemoState requires a fresh context");
-  }
+  base.next_subpop_id = static_cast<uint32_t>(next_id);
   // Export writes subpopulations sorted by id, so strict ascending order
   // doubles as the uniqueness check and keeps membership tests a binary
   // search (no allocation sized from untrusted counts).
   std::vector<uint64_t> subpop_ids_seen;
-  subpop_ids_seen.reserve(static_cast<size_t>(n_subpops));
   for (uint64_t i = 0; i < n_subpops; ++i) {
     const uint64_t id = r.GetVarint();
     if (id >= next_id ||
@@ -600,20 +601,15 @@ size_t EstimatorContext::ImportMemoState(const std::string& bytes) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "memo state: subpopulation universe mismatch");
     }
-    const uint64_t h = bits.Hash();
-    subpop_bytes_ += SubpopEntryBytes(bits.size());
-    subpop_ids_[h].emplace_back(std::move(bits),
-                                static_cast<uint32_t>(id));
+    base.subpops.emplace_back(std::move(bits), static_cast<uint32_t>(id));
   }
-  next_subpop_id_ = static_cast<uint32_t>(next_id);
-
   const uint64_t n_entries = r.GetVarint();
-  if (n_entries > bytes.size()) {
+  if (n_entries > exported_memo.size()) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "memo state: implausible entry count");
   }
   for (uint64_t i = 0; i < n_entries; ++i) {
-    MemoKey key;
+    auto& [key, est] = base.entries.emplace_back();
     const uint64_t n_ids = r.GetVarint();
     if (n_ids > known) {
       throw StorageError(StorageErrorKind::kCorrupt,
@@ -637,32 +633,26 @@ size_t EstimatorContext::ImportMemoState(const std::string& bytes) {
                          "memo state: entry references unknown subpopulation");
     }
     key.subpop_id = static_cast<uint32_t>(subpop);
-
-    EffectEstimate est;
-    est.valid = r.GetU8() != 0;
+    const uint8_t valid = r.GetU8();
+    if (valid > 1) {
+      throw StorageError(StorageErrorKind::kCorrupt,
+                         "memo state: bad validity flag");
+    }
+    est.valid = valid == 1;
     est.cate = r.GetDouble();
     est.std_error = r.GetDouble();
     est.p_value = r.GetDouble();
     est.n_treated = static_cast<size_t>(r.GetVarint());
     est.n_control = static_cast<size_t>(r.GetVarint());
     est.n_used = static_cast<size_t>(r.GetVarint());
-
-    // Entries arrive oldest first; push_front keeps the newest at the
-    // front, reproducing the exported LRU order.
-    lru_.push_front(key);
-    MemoEntry entry{est, lru_.begin(), EntryBytes(key)};
-    memo_bytes_ += entry.bytes;
-    if (!memo_.emplace(std::move(key), std::move(entry)).second) {
-      throw StorageError(StorageErrorKind::kCorrupt,
-                         "memo state: duplicate entry");
-    }
   }
   if (!r.AtEnd()) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "memo state: trailing bytes");
   }
-  n_migrated_.store(memo_.size(), std::memory_order_relaxed);
-  return memo_.size();
+  // Carry it like a rebind whose table did not change: every
+  // subpopulation and entry survives.
+  CarryMemo(std::move(base), rows, 0);
 }
 
 }  // namespace causumx

@@ -79,6 +79,13 @@ class EstimatorContext {
                    const EstimatorContext& base,
                    size_t dropped_prefix_rows = 0);
 
+  /// Restores a CATE memo from ExportMemoState bytes — one more rebind,
+  /// with the exported memo as the base; `engine` is restored from the
+  /// same snapshot. Throws StorageError: kStale when the row count or
+  /// predicate id space differs from the export, kCorrupt on damage.
+  EstimatorContext(std::shared_ptr<EvalEngine> engine, const CausalDag& dag,
+                   EstimatorOptions options, const std::string& exported_memo);
+
   EstimatorContext(const EstimatorContext&) = delete;
   EstimatorContext& operator=(const EstimatorContext&) = delete;
 
@@ -111,15 +118,6 @@ class EstimatorContext {
   /// every memo entry in LRU order — for the storage layer's warm-state
   /// snapshots. Safe to call concurrently with EstimateCate.
   std::string ExportMemoState() const;
-
-  /// Seeds a freshly constructed context (empty memo) with state
-  /// exported from a context over an engine with identical table
-  /// content and identical restored predicate ids (restore the engine
-  /// cache first — memo keys reference its dense ids). Returns the
-  /// number of entries restored. Throws StorageError: kStale when the
-  /// universe or id space does not match, kCorrupt when the payload is
-  /// malformed; the context must be discarded after a throw.
-  size_t ImportMemoState(const std::string& bytes);
 
  private:
   // Exact memo key: the treatment as its sorted engine-interned predicate
@@ -156,6 +154,21 @@ class EstimatorContext {
     std::list<MemoKey>::iterator lru_it;  // position in lru_
     size_t bytes = 0;
   };
+
+  /// The memo state a rebind or a restore carries.
+  struct MemoSnapshot {
+    uint32_t next_subpop_id = 0;
+    std::vector<std::pair<Bitset, uint32_t>> subpops;
+    std::vector<std::pair<MemoKey, EffectEstimate>> entries;  // oldest first
+  };
+
+  /// Copies the memo state under memo_mu_ (work happens after).
+  MemoSnapshot SnapshotMemo() const CAUSUMX_EXCLUDES(memo_mu_);
+
+  /// Installs `base` (taken over `base_rows` rows, minus the `dropped`
+  /// prefix) with the rebind carry rule. Constructor-only.
+  void CarryMemo(MemoSnapshot base, size_t base_rows, size_t dropped)
+      CAUSUMX_EXCLUDES(memo_mu_);
 
   static size_t EntryBytes(const MemoKey& key);
 

@@ -31,11 +31,13 @@ ExplorationSession::ExplorationSession(
       query_(std::move(query)),
       dag_(std::move(dag)),
       config_(std::move(config)),
-      engine_(engine != nullptr ? std::move(engine)
-                                : MakeSessionEngine(table_, config_)),
+      engine_(engine != nullptr ? engine : MakeSessionEngine(table_, config_)),
       estimator_(context != nullptr
                      ? EffectEstimator(std::move(context))
-                     : EffectEstimator(engine_, dag_, config_.estimator)) {}
+                     : EffectEstimator(engine_, dag_, config_.estimator)),
+      // Mining shares the pool of an engine the session built; a
+      // borrowed engine keeps MineExplanationCandidates' pool rule.
+      mining_pool_(engine == nullptr ? engine_->pool() : nullptr) {}
 
 ExplorationSession::ExplorationSession(const Table& table,
                                        GroupByAvgQuery query, CausalDag dag,
@@ -48,7 +50,8 @@ ExplorationSession::ExplorationSession(const Table& table,
 void ExplorationSession::EnsureMined() {
   if (!mined_) {
     mined_ = MineExplanationCandidates(*table_, query_, dag_, config_,
-                                       engine_, estimator_.context());
+                                       engine_, estimator_.context(),
+                                       mining_pool_);
   }
 }
 

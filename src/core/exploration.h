@@ -93,6 +93,7 @@ class ExplorationSession {
   CauSumXConfig config_;
   std::shared_ptr<EvalEngine> engine_;
   EffectEstimator estimator_;  // bound to engine_; shared memo.
+  ThreadPool* mining_pool_ = nullptr;  // engine_'s pool if built here
   std::optional<CandidateMiningResult> mined_;
 };
 

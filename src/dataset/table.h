@@ -91,6 +91,8 @@ class Table {
   void ReserveRows(size_t n);
 
  private:
+  friend Table DeserializeTable(const std::string& bytes);
+
   // Concurrency contract (checked at the owners, not here): a Table has
   // no internal locking. Mutation is single-writer-before-publication —
   // builders (CSV reader, datagen) fill a private instance, and the

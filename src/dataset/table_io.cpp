@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -332,13 +333,17 @@ Table DeserializeTable(const std::string& bytes) {
     table.AddRow(row);
   }
 
-  // The stored key pins the content hash of the table that was written;
-  // recomputing over what we decoded closes the loop on any damage the
-  // per-page CRCs cannot see (e.g. a tampered dictionary with a fixed-up
-  // checksum).
-  if (TableKey(table, TableContentHash(table)).substr(0, 17) !=
-      snap.key().substr(0, 17)) {
-    Corrupt("content hash does not match stored key");
+  // The stored key pins the content hash, version and row count of the
+  // table that was written; recomputing over what we decoded (with the
+  // version read back) closes the loop on any damage the per-page CRCs
+  // cannot see (e.g. a tampered dictionary with a fixed-up checksum).
+  const std::string& key = snap.key();
+  const size_t v = std::min(key.find("|v"), key.size()) + 2;
+  if (v > key.size() ||
+      std::from_chars(key.data() + v, key.data() + key.size(), table.version_)
+              .ec != std::errc() ||
+      TableKey(table, TableContentHash(table)) != key) {
+    Corrupt("table does not match stored key");
   }
   return table;
 }

@@ -42,8 +42,8 @@ void WriteTableFile(const Table& table, const std::string& path);
 
 /// Parses container bytes back into a table. Throws StorageError —
 /// kCorrupt for structural damage (bad magic/CRC/encoding, or a content
-/// hash that does not match the stored key), kStale for format-version
-/// skew. The returned table has version 0, like a freshly parsed CSV.
+/// hash, version or row count that does not match the stored key),
+/// kStale for format-version skew. The table keeps its written version.
 Table DeserializeTable(const std::string& bytes);
 
 /// ReadFileBytes + DeserializeTable.

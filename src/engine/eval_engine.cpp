@@ -4,12 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "storage/bytes.h"
 #include "storage/storage_error.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace causumx {
@@ -67,9 +69,7 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
       compression_(options.compression),
       plan_(PlanFor(*keepalive_, options)),
       pool_(std::move(options.pool)) {
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
-    column_slots_.emplace_back();
-  }
+  column_slots_.resize(table_.NumColumns());
 }
 
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
@@ -102,37 +102,78 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
   // may be serving queries concurrently, so the snapshot phase under its
   // shared intern lock only copies pointers — all bit work happens after
   // the lock is released, so a query that needs to intern a new
-  // predicate into the base never waits on the rebind. This engine is
-  // still private to the constructor, so its own members need no locks.
-  struct SlotSnapshot {
-    SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
-    std::vector<uint64_t> seg_used;
-  };
-  std::vector<SlotSnapshot> snapshot;
-  {
-    util::ReaderMutexLock base_lock(base.intern_mu_);
-    ids_ = base.ids_;
-    clock_.store(base.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    snapshot.reserve(base.slots_.size());
-    for (size_t id = 0; id < base.slots_.size(); ++id) {
-      const PredicateSlot& src = base.slots_[id];
-      SlotSnapshot snap;
-      snap.pred = src.pred;
-      {
-        util::MutexLock lk(src.mu);
-        snap.segs = src.segs;
-        snap.seg_used = src.seg_used;
+  // predicate into the base never waits on the rebind.
+  std::vector<SlotSnapshot> snapshot = base.SnapshotSlots(&ids_);
+  clock_.store(base.clock_.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
+  CarrySlots(std::move(snapshot), base.plan_, old_rows, dropped);
+
+  for (size_t c = 0; c < table_.NumColumns(); ++c) {
+    column_slots_.emplace_back();
+    ColumnSlot& dst = column_slots_.back();
+    const ColumnSlot& src = base.column_slots_[c];
+    if (!src.ready.load(std::memory_order_acquire)) continue;
+    const Column& col = table_.column(c);
+    // A categorical column's numeric view holds dictionary codes, and
+    // Table::Tail re-codes dictionaries in survivor first-appearance
+    // order — after a retraction those views rebuild on demand.
+    if (dropped > 0 && col.type() == ColumnType::kCategorical) continue;
+    dst.view.values.assign(
+        src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
+        src.view.values.end());
+    dst.view.valid = src.view.valid;
+    dst.view.valid.DropPrefix(dropped);
+    dst.view.values.resize(new_rows);
+    dst.view.valid.Resize(new_rows);
+    for (size_t r = kept; r < new_rows; ++r) {
+      if (col.IsNull(r)) {
+        dst.view.values[r] = std::nan("");
+      } else {
+        dst.view.values[r] = col.GetNumeric(r);
+        dst.view.valid.Set(r);
       }
-      snapshot.push_back(std::move(snap));
     }
+    view_bytes_.fetch_add(
+        new_rows * sizeof(double) + BitsetBytes(dst.view.valid),
+        std::memory_order_relaxed);
+    (dropped == 0 ? n_views_extended_ : n_views_retracted_)
+        .fetch_add(1, std::memory_order_relaxed);
+    dst.ready.store(true, std::memory_order_release);
   }
-  const ShardPlan& base_plan = base.plan_;
+}
+
+std::vector<EvalEngine::SlotSnapshot> EvalEngine::SnapshotSlots(
+    std::unordered_map<std::string, PredicateId>* ids) const {
+  std::vector<SlotSnapshot> snapshot;
+  util::ReaderMutexLock lock(intern_mu_);
+  if (ids != nullptr) *ids = ids_;
+  snapshot.reserve(slots_.size());
+  for (const PredicateSlot& src : slots_) {
+    SlotSnapshot snap;
+    snap.pred = src.pred;
+    {
+      util::MutexLock lk(src.mu);
+      snap.segs = src.segs;
+      snap.seg_used = src.seg_used;
+    }
+    snapshot.push_back(std::move(snap));
+  }
+  return snapshot;
+}
+
+void EvalEngine::CarrySlots(std::vector<SlotSnapshot> slots,
+                            const ShardPlan& base_plan, size_t base_rows,
+                            size_t dropped) {
+  // Rows [0, kept) survive from the base (row k is base row k + dropped);
+  // later rows were appended.
+  const size_t kept = base_rows - dropped;
   const size_t num_shards = plan_.NumShards();
-  for (SlotSnapshot& snap : snapshot) {
+  // Uncontended (the engine is still private); taken for the analysis.
+  util::WriterMutexLock lock(intern_mu_);
+  for (SlotSnapshot& snap : slots) {
     slots_.emplace_back();
     PredicateSlot& dst = slots_.back();
+    util::MutexLock slot_lock(dst.mu);
     dst.pred = std::move(snap.pred);
     dst.segs.resize(num_shards);
     dst.seg_used.assign(num_shards, 0);
@@ -142,7 +183,7 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
       const size_t end = plan_.ShardEnd(s);
       // The shard's surviving rows are base rows [src_begin, src_end).
       const size_t src_begin = begin + dropped;
-      const size_t src_end = std::min(end + dropped, old_rows);
+      const size_t src_end = std::min(end + dropped, base_rows);
       Bitset bits;
       uint64_t stamp = 0;
       if (src_begin < src_end) {
@@ -205,39 +246,6 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
     }
   }
   n_interned_.store(slots_.size(), std::memory_order_relaxed);
-
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
-    column_slots_.emplace_back();
-    ColumnSlot& dst = column_slots_.back();
-    const ColumnSlot& src = base.column_slots_[c];
-    if (!src.ready.load(std::memory_order_acquire)) continue;
-    const Column& col = table_.column(c);
-    // A categorical column's numeric view holds dictionary codes, and
-    // Table::Tail re-codes dictionaries in survivor first-appearance
-    // order — after a retraction those views rebuild on demand.
-    if (dropped > 0 && col.type() == ColumnType::kCategorical) continue;
-    dst.view.values.assign(
-        src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
-        src.view.values.end());
-    dst.view.valid = src.view.valid;
-    dst.view.valid.DropPrefix(dropped);
-    dst.view.values.resize(new_rows);
-    dst.view.valid.Resize(new_rows);
-    for (size_t r = kept; r < new_rows; ++r) {
-      if (col.IsNull(r)) {
-        dst.view.values[r] = std::nan("");
-      } else {
-        dst.view.values[r] = col.GetNumeric(r);
-        dst.view.valid.Set(r);
-      }
-    }
-    view_bytes_.fetch_add(
-        new_rows * sizeof(double) + BitsetBytes(dst.view.valid),
-        std::memory_order_relaxed);
-    (dropped == 0 ? n_views_extended_ : n_views_retracted_)
-        .fetch_add(1, std::memory_order_relaxed);
-    dst.ready.store(true, std::memory_order_release);
-  }
 }
 
 size_t EvalEngine::BitsetBytes(const Bitset& bits) {
@@ -528,32 +536,39 @@ Value GetValue(ByteReader* r) {
   }
 }
 
+// Keeps shard arithmetic on a hostile stored shard size overflow-free.
+constexpr uint64_t kMaxShardRows = uint64_t{1} << 40;
+
+// The plan an exported engine state was built under: the exporter's
+// shard size over `table`, whose row count must match the export's.
+ShardPlan ExportedPlan(const Table& table, const std::string& bytes) {
+  ByteReader r(bytes);
+  if (r.GetU64() != table.NumRows()) {
+    throw StorageError(StorageErrorKind::kStale,
+                       "engine cache: row count mismatch");
+  }
+  const uint64_t num_shards = r.GetVarint();
+  const uint64_t shard_rows = r.GetVarint();
+  if (shard_rows == 0 || shard_rows % kSummationBlockRows != 0 ||
+      shard_rows > kMaxShardRows) {
+    throw StorageError(StorageErrorKind::kCorrupt,
+                       "engine cache: implausible shard size");
+  }
+  const ShardPlan plan(table.NumRows(), static_cast<size_t>(shard_rows));
+  if (num_shards != plan.NumShards()) {
+    throw StorageError(StorageErrorKind::kCorrupt,
+                       "engine cache: shard count does not match shard size");
+  }
+  return plan;
+}
+
 }  // namespace
 
 std::string EvalEngine::ExportCacheState() const {
-  // Snapshot phase mirrors the rebind constructor: copy the
-  // predicates and segment pointers under the locks, serialize after
-  // releasing them so concurrent queries are never blocked on encoding.
-  struct SlotSnapshot {
-    SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
-  };
-  std::vector<SlotSnapshot> snapshot;
-  {
-    util::ReaderMutexLock lock(intern_mu_);
-    snapshot.reserve(slots_.size());
-    for (size_t id = 0; id < slots_.size(); ++id) {
-      const PredicateSlot& src = slots_[id];
-      SlotSnapshot snap;
-      snap.pred = src.pred;
-      {
-        util::MutexLock lk(src.mu);
-        snap.segs = src.segs;
-      }
-      snapshot.push_back(std::move(snap));
-    }
-  }
-
+  // Copy the predicates and segment pointers under the locks (as the
+  // rebind constructor does) and serialize after releasing them, so
+  // concurrent queries are never blocked on encoding.
+  const std::vector<SlotSnapshot> snapshot = SnapshotSlots();
   ByteWriter w;
   w.PutU64(table_.NumRows());
   w.PutVarint(plan_.NumShards());
@@ -580,104 +595,87 @@ std::string EvalEngine::ExportCacheState() const {
   return w.TakeBytes();
 }
 
-size_t EvalEngine::ImportCacheState(const std::string& bytes) {
-  ByteReader r(bytes);
-  if (r.GetU64() != table_.NumRows()) {
-    throw StorageError(StorageErrorKind::kStale,
-                       "engine cache: row count mismatch");
-  }
-  if (r.GetVarint() != plan_.NumShards() ||
-      r.GetVarint() != plan_.shard_rows()) {
-    throw StorageError(StorageErrorKind::kStale,
-                       "engine cache: shard plan mismatch");
-  }
+EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
+                       EvalEngineOptions options,
+                       const std::string& exported_state)
+    : keepalive_(std::move(table)),
+      table_(*keepalive_),
+      cache_enabled_(options.cache_enabled),
+      compression_(options.compression),
+      plan_(ExportedPlan(*keepalive_, exported_state)),
+      pool_(std::move(options.pool)) {
+  ByteReader r(exported_state);
+  r.GetU64();  // row count and shard plan, checked by ExportedPlan
+  r.GetVarint();
+  r.GetVarint();
   if (r.GetU8() != static_cast<uint8_t>(compression_) ||
-      (r.GetU8() != 0) != cache_enabled_) {
+      r.GetU8() != (cache_enabled_ ? 1 : 0)) {
     throw StorageError(StorageErrorKind::kStale,
                        "engine cache: options mismatch");
   }
   const uint64_t n_preds = r.GetVarint();
-  if (n_preds > bytes.size()) {
+  if (n_preds > exported_state.size()) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "engine cache: implausible predicate count");
   }
-
-  util::WriterMutexLock lock(intern_mu_);
-  if (!slots_.empty()) {
-    throw std::logic_error(
-        "EvalEngine::ImportCacheState requires a fresh engine");
-  }
-  size_t restored = 0;
+  // Deserialize into a base, then carry it like a rebind whose table did
+  // not change: every resident segment is shared as it is.
   const size_t num_shards = plan_.NumShards();
+  std::vector<SlotSnapshot> base;
   for (uint64_t id = 0; id < n_preds; ++id) {
-    SimplePredicate pred;
-    pred.attribute = r.GetString();
+    SlotSnapshot& snap = base.emplace_back();
+    snap.pred.attribute = r.GetString();
     const uint8_t op = r.GetU8();
     if (op > static_cast<uint8_t>(CompareOp::kGe)) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "engine cache: unknown compare op");
     }
-    pred.op = static_cast<CompareOp>(op);
-    pred.value = GetValue(&r);
-
-    const std::string key = PredicateKey(pred);
-    if (!ids_.emplace(key, static_cast<PredicateId>(slots_.size())).second) {
+    snap.pred.op = static_cast<CompareOp>(op);
+    snap.pred.value = GetValue(&r);
+    if (!ids_.emplace(PredicateKey(snap.pred), static_cast<PredicateId>(id))
+             .second) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "engine cache: duplicate predicate");
     }
-    slots_.emplace_back();
-    PredicateSlot& dst = slots_.back();
-    dst.pred = std::move(pred);
-    util::MutexLock slot_lock(dst.mu);
-    dst.segs.resize(num_shards);
-    dst.seg_used.assign(num_shards, 0);
-
-    const uint64_t n_segs = r.GetVarint();
-    if (n_segs != num_shards) {
+    if (r.GetVarint() != num_shards) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "engine cache: segment count mismatch");
     }
-    bool carried_any = false;
+    snap.segs.resize(num_shards);
+    snap.seg_used.assign(num_shards, 0);
     for (size_t s = 0; s < num_shards; ++s) {
-      if (r.GetU8() == 0) continue;
+      // Presence flag: export writes exactly 0 or 1.
+      const uint8_t present = r.GetU8();
+      if (present > 1) {
+        throw StorageError(StorageErrorKind::kCorrupt,
+                           "engine cache: bad segment flag");
+      }
+      if (present == 0) continue;
       const std::string seg_bytes = r.GetString();
       size_t pos = 0;
-      SegmentBits seg = [&] {
-        try {
-          return SegmentBits::Deserialize(seg_bytes, &pos);
-        } catch (const StorageError&) {
-          throw;
-        } catch (const std::runtime_error& e) {
-          throw StorageError(StorageErrorKind::kCorrupt, e.what());
-        }
-      }();
+      std::optional<SegmentBits> seg;
+      try {
+        seg.emplace(SegmentBits::Deserialize(seg_bytes, &pos));
+      } catch (const std::runtime_error& e) {
+        throw StorageError(StorageErrorKind::kCorrupt, e.what());
+      }
       if (pos != seg_bytes.size()) {
         throw StorageError(StorageErrorKind::kCorrupt,
                            "engine cache: trailing segment bytes");
       }
-      if (seg.size() != plan_.ShardEnd(s) - plan_.ShardBegin(s)) {
+      if (seg->size() != plan_.ShardEnd(s) - plan_.ShardBegin(s)) {
         throw StorageError(StorageErrorKind::kCorrupt,
                            "engine cache: segment size does not match shard");
       }
-      auto shared = std::make_shared<const SegmentBits>(std::move(seg));
-      bitset_bytes_.fetch_add(shared->bytes(), std::memory_order_relaxed);
-      if (shared->compressed()) {
-        n_compressed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      dst.segs[s] = std::move(shared);
-      carried_any = true;
-      ++restored;
+      snap.segs[s] = std::make_shared<const SegmentBits>(std::move(*seg));
     }
-    // Restored predicates count as inherited, like a growth rebind —
-    // they were carried into this engine, not materialized by it.
-    if (carried_any) n_extended_.fetch_add(1, std::memory_order_relaxed);
   }
   if (!r.AtEnd()) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "engine cache: trailing bytes");
   }
-  n_interned_.store(slots_.size(), std::memory_order_relaxed);
-  return restored;
+  CarrySlots(std::move(base), plan_, table_.NumRows(), 0);
+  column_slots_.resize(table_.NumColumns());
 }
 
 }  // namespace causumx

@@ -163,6 +163,16 @@ class EvalEngine {
   EvalEngine(std::shared_ptr<const Table> table, const EvalEngine& base,
              size_t dropped_prefix_rows = 0);
 
+  /// Restores an engine over identical table content from its
+  /// ExportCacheState bytes — one more rebind, with the exported state
+  /// as the base: dense predicate ids (and so CATE memo keys) survive,
+  /// and the shard size comes from the export, not from
+  /// `options.num_shards`. Throws StorageError: kStale when the row
+  /// count, cache mode or compression differs from the export, kCorrupt
+  /// when the payload is malformed.
+  EvalEngine(std::shared_ptr<const Table> table, EvalEngineOptions options,
+             const std::string& exported_state);
+
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
 
@@ -232,18 +242,14 @@ class EvalEngine {
   /// rebuild and not exported. Safe to call concurrently with queries.
   std::string ExportCacheState() const;
 
-  /// Seeds a freshly constructed engine (nothing interned yet) with
-  /// state exported from an engine over identical table content and an
-  /// identical (rows, shard plan, compression, cache mode)
-  /// configuration. Predicates intern in export order, so the dense ids
-  /// — and every CATE memo keyed on them — are preserved. Returns the
-  /// number of segments restored. Throws StorageError: kStale when the
-  /// configuration does not match, kCorrupt when the payload is
-  /// malformed; the engine is unusable after a throw mid-import and
-  /// must be discarded (the caller rebuilds cold).
-  size_t ImportCacheState(const std::string& bytes);
-
  private:
+  /// One predicate's state as a rebind or a restore carries it.
+  struct SlotSnapshot {
+    SimplePredicate pred;
+    std::vector<std::shared_ptr<const SegmentBits>> segs;
+    std::vector<uint64_t> seg_used;
+  };
+
   struct PredicateSlot {
     SimplePredicate pred;
     mutable util::Mutex mu;  // guards `segs` / `seg_used` build/evict
@@ -279,6 +285,17 @@ class EvalEngine {
   /// of them as used. The returned pointers are safe against concurrent
   /// eviction.
   std::vector<std::shared_ptr<const SegmentBits>> SegmentsOf(PredicateId id);
+
+  /// Copies the slots (and, when `ids` is set, the intern table) under
+  /// the locks, so the caller does its bit work after releasing them.
+  std::vector<SlotSnapshot> SnapshotSlots(
+      std::unordered_map<std::string, PredicateId>* ids = nullptr) const;
+
+  /// Installs `slots` (taken over `base_rows` rows under `base_plan`,
+  /// minus the `dropped` prefix) with the rebind carry rule.
+  /// Constructor-only.
+  void CarrySlots(std::vector<SlotSnapshot> slots, const ShardPlan& base_plan,
+                  size_t base_rows, size_t dropped);
 
   /// Owns the table, or aliases it without ownership (ref ctor).
   const std::shared_ptr<const Table> keepalive_;

@@ -43,13 +43,22 @@ std::string ContextKey(const CausalDag& dag, const EstimatorOptions& opt) {
 }
 
 // Segment storage policy of every service engine. The warm snapshot key
-// records it ("|z<n>"), so a snapshot only warms an engine that stores
-// segments the same way.
+// records it ("|z<n>"), and a restored engine must store segments the
+// same way.
 constexpr SegmentCompression kSegmentCompression = SegmentCompression::kAuto;
 
 // Warm-state snapshot container identity (storage/snapshot.h).
 constexpr char kWarmSnapshotKind[] = "causumx-snapshot";
 constexpr uint32_t kWarmSnapshotVersion = 1;
+
+// The data part of a warm snapshot key (content hash, data version)
+// alone decides whether a snapshot belongs to a table: the restore
+// constructors check the engine-config rest themselves.
+std::string DataKey(const Table& table) {
+  return StrFormat("h%016llx|v%llu|",
+                   (unsigned long long)TableContentHash(table),
+                   (unsigned long long)table.version());
+}
 
 uint64_t NowUnixMs() {
   return static_cast<uint64_t>(
@@ -105,20 +114,12 @@ EvalEngineOptions ExplanationService::EngineOptions() const {
 
 std::shared_ptr<const Table> ExplanationService::RegisterTable(
     const std::string& name, std::shared_ptr<const Table> table) {
-  TableEntry entry;
-  entry.table = std::move(table);
-  entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
-  // With persistence on, seed the fresh caches from the table's durable
+  // With persistence on, seed the caches from the table's durable
   // snapshot — accepted only when the snapshot key proves it was taken
-  // over this exact table content and engine configuration.
-  if (!options_.data_dir.empty()) TryRestoreWarmState(name, &entry);
-  std::shared_ptr<const Table> handle = entry.table;
-  {
-    util::MutexLock lock(mu_);
-    tables_[name] = std::move(entry);
-  }
-  n_tables_.fetch_add(1, std::memory_order_relaxed);
-  return handle;
+  // over this exact table content and version.
+  const Table* content = table.get();
+  return Install(name, std::move(table), ReadSnapshot(name, content),
+                 /*replace=*/true);
 }
 
 std::shared_ptr<const Table> ExplanationService::RegisterTable(
@@ -143,19 +144,10 @@ std::shared_ptr<const Table> ExplanationService::EnsureCsv(
   }
   // Parse outside the lock; concurrent callers may each parse, but only
   // the first registration sticks (never replace a live entry here).
-  TableEntry entry;
-  entry.table =
-      std::make_shared<const Table>(ReadCsvFile(path, csv_options));
-  entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
-  if (!options_.data_dir.empty()) TryRestoreWarmState(name, &entry);
-  {
-    util::MutexLock lock(mu_);
-    auto it = tables_.find(name);
-    if (it != tables_.end()) return it->second.table;
-    tables_[name] = entry;
-  }
-  n_tables_.fetch_add(1, std::memory_order_relaxed);
-  return entry.table;
+  auto table = std::make_shared<const Table>(ReadCsvFile(path, csv_options));
+  const Table* content = table.get();
+  return Install(name, std::move(table), ReadSnapshot(name, content),
+                 /*replace=*/false);
 }
 
 bool ExplanationService::HasTable(const std::string& name) const {
@@ -305,11 +297,10 @@ std::shared_ptr<const Table> ExplanationService::AppendLocked(
     }
   }
   EnforceBudget();
-  if (!options_.data_dir.empty() && options_.snapshot_on_append) {
+  if (!options_.data_dir.empty()) {
     // The append has landed in memory; a snapshot write failure must not
     // unwind it. The previous snapshot stays durable and self-consistent
-    // (its version key no longer matches, so a restart rejects it and
-    // rebuilds cold — correct, just not warm).
+    // (a restart restores the table as of that snapshot).
     try {
       SaveSnapshot(name);
     } catch (const StorageError&) {
@@ -349,9 +340,8 @@ std::string ExplanationService::SnapshotPath(const std::string& name) const {
 }
 
 std::string ExplanationService::WarmSnapshotKey(const Table& table) const {
-  return StrFormat("h%016llx|v%llu|s%zu|c%d|z%d",
-                   (unsigned long long)TableContentHash(table),
-                   (unsigned long long)table.version(), options_.num_shards,
+  return DataKey(table) +
+         StrFormat("s%zu|c%d|z%d", options_.num_shards,
                    options_.cache_enabled ? 1 : 0,
                    static_cast<int>(kSegmentCompression));
 }
@@ -397,109 +387,82 @@ size_t ExplanationService::SaveAllSnapshots() {
   return written;
 }
 
-bool ExplanationService::TryRestoreWarmState(const std::string& name,
-                                             TableEntry* entry) {
+std::optional<SnapshotReader> ExplanationService::ReadSnapshot(
+    const std::string& name, const Table* table) {
+  if (options_.data_dir.empty()) return std::nullopt;
   const std::string path = SnapshotPath(name);
-  if (!FileExists(path)) return false;
+  if (!FileExists(path)) return std::nullopt;
   try {
     SnapshotReader snap = SnapshotReader::ReadFile(path, kWarmSnapshotKind,
                                                    kWarmSnapshotVersion);
-    if (snap.key() != WarmSnapshotKey(*entry->table)) {
-      // Valid snapshot of different data (content, version, or engine
-      // configuration) — e.g. the CSV changed since it was written, or
-      // appends happened after the source file was exported. Never
-      // trusted; the caller keeps its cold caches.
+    // A valid snapshot of different data (content or version) — e.g. the
+    // CSV changed since it was written, or appends happened after the
+    // source file was exported — is never trusted.
+    if (table == nullptr || snap.key().rfind(DataKey(*table), 0) == 0) {
+      return snap;
+    }
+  } catch (const std::runtime_error&) {
+    // Damaged, truncated, or from another format version.
+  }
+  n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+std::shared_ptr<const Table> ExplanationService::Install(
+    const std::string& name, std::shared_ptr<const Table> table,
+    const std::optional<SnapshotReader>& snap, bool replace) {
+  TableEntry entry;
+  entry.table = std::move(table);
+  if (snap) {
+    try {
+      entry.engine = std::make_shared<EvalEngine>(
+          entry.table, EngineOptions(), snap->Section("engine"));
+      for (const std::string& section : snap->SectionNames()) {
+        if (section.rfind("ctx/", 0) != 0) continue;
+        ByteReader r(snap->Section(section));
+        const std::string ctx_key = r.GetString();
+        const std::string dag_text = r.GetString();
+        const EstimatorOptions opt = GetEstimatorOptions(&r);
+        const std::string memo = r.GetString();
+        if (!r.AtEnd()) {
+          throw StorageError(StorageErrorKind::kCorrupt,
+                             "snapshot: trailing bytes in context section");
+        }
+        const CausalDag dag = ParseDagText(dag_text);
+        if (ContextKey(dag, opt) != ctx_key) {
+          throw StorageError(StorageErrorKind::kCorrupt,
+                             "snapshot: context fingerprint does not match "
+                             "its DAG and options");
+        }
+        if (!entry.contexts
+                 .emplace(ctx_key, std::make_shared<EstimatorContext>(
+                                       entry.engine, dag, opt, memo))
+                 .second) {
+          throw StorageError(StorageErrorKind::kCorrupt,
+                             "snapshot: duplicate context section");
+        }
+      }
+      n_snapshots_restored_.fetch_add(1, std::memory_order_relaxed);
+    } catch (const std::runtime_error&) {
+      // Stale or damaged caches: the restore is all-or-nothing, so the
+      // entry starts cold — results are identical, only warmth is lost.
+      entry.engine = nullptr;
+      entry.contexts.clear();
       n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    ImportWarmSections(snap, entry);
-    n_snapshots_restored_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  } catch (const std::runtime_error&) {
-    // Damaged or stale snapshot, possibly detected mid-import. A
-    // partially imported engine is unusable by contract, so rebuild the
-    // entry cold — the restore is all-or-nothing.
-    entry->engine = std::make_shared<EvalEngine>(entry->table, EngineOptions());
-    entry->contexts.clear();
-    n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-}
-
-void ExplanationService::ImportWarmSections(const SnapshotReader& snap,
-                                            TableEntry* entry) {
-  entry->engine->ImportCacheState(snap.Section("engine"));
-  for (const std::string& section : snap.SectionNames()) {
-    if (section.rfind("ctx/", 0) != 0) continue;
-    ByteReader r(snap.Section(section));
-    const std::string key = r.GetString();
-    const std::string dag_text = r.GetString();
-    const EstimatorOptions opt = GetEstimatorOptions(&r);
-    const std::string memo = r.GetString();
-    if (!r.AtEnd()) {
-      throw StorageError(StorageErrorKind::kCorrupt,
-                         "snapshot: trailing bytes in context section");
-    }
-    const CausalDag dag = ParseDagText(dag_text);
-    if (ContextKey(dag, opt) != key) {
-      throw StorageError(StorageErrorKind::kCorrupt,
-                         "snapshot: context fingerprint does not match its "
-                         "DAG and options");
-    }
-    auto ctx = std::make_shared<EstimatorContext>(entry->engine, dag, opt);
-    ctx->ImportMemoState(memo);
-    if (!entry->contexts.emplace(key, std::move(ctx)).second) {
-      throw StorageError(StorageErrorKind::kCorrupt,
-                         "snapshot: duplicate context section");
     }
   }
-}
-
-bool ExplanationService::RestoreTable(const std::string& name) {
-  const std::string path = SnapshotPath(name);
-  if (!FileExists(path)) return false;
-  try {
-    SnapshotReader snap = SnapshotReader::ReadFile(path, kWarmSnapshotKind,
-                                                   kWarmSnapshotVersion);
-    TableEntry entry;
-    entry.table =
-        std::make_shared<const Table>(DeserializeTable(snap.Section("table")));
-    // The embedded table self-verified against its own container key;
-    // cross-check the warm key's hash component so an engine section
-    // spliced onto a different table section cannot pass. The version
-    // component is not compared — the decoded table restarts at version
-    // 0 like any cold load. The engine-configuration suffix must match
-    // this service's options (the engine import would reject it anyway;
-    // checking here avoids decoding cache state we cannot use).
-    const std::string hash_part = StrFormat(
-        "h%016llx", (unsigned long long)TableContentHash(*entry.table));
-    const std::string config_part =
-        StrFormat("|s%zu|c%d|z%d", options_.num_shards,
-                  options_.cache_enabled ? 1 : 0,
-                  static_cast<int>(kSegmentCompression));
-    if (snap.key().compare(0, hash_part.size(), hash_part) != 0) {
-      throw StorageError(StorageErrorKind::kCorrupt,
-                         "snapshot: key does not match embedded table");
-    }
-    if (snap.key().size() < config_part.size() ||
-        snap.key().compare(snap.key().size() - config_part.size(),
-                           config_part.size(), config_part) != 0) {
-      throw StorageError(StorageErrorKind::kStale,
-                         "snapshot: engine configuration changed");
-    }
+  if (entry.engine == nullptr) {
     entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
-    ImportWarmSections(snap, &entry);
-    {
-      util::MutexLock lock(mu_);
-      tables_[name] = std::move(entry);
-    }
-    n_tables_.fetch_add(1, std::memory_order_relaxed);
-    n_snapshots_restored_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  } catch (const std::runtime_error&) {
-    n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
   }
+  std::shared_ptr<const Table> handle = entry.table;
+  {
+    util::MutexLock lock(mu_);
+    auto [it, inserted] = tables_.try_emplace(name);
+    if (!inserted && !replace) return it->second.table;
+    it->second = std::move(entry);
+  }
+  n_tables_.fetch_add(1, std::memory_order_relaxed);
+  return handle;
 }
 
 size_t ExplanationService::RestoreAll() {
@@ -521,7 +484,24 @@ size_t ExplanationService::RestoreAll() {
       n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (RestoreTable(name)) ++restored;
+    // The table comes from the snapshot alone, at its saved version. Its
+    // section self-verified against its own key; the warm key's data part
+    // must match it too, so caches spliced onto another table cannot pass.
+    const std::optional<SnapshotReader> snap = ReadSnapshot(name, nullptr);
+    if (!snap) continue;
+    std::shared_ptr<const Table> table;
+    try {
+      table = std::make_shared<const Table>(
+          DeserializeTable(snap->Section("table")));
+    } catch (const std::runtime_error&) {
+      // Damaged table section: stays null and is rejected below.
+    }
+    if (table == nullptr || snap->key().rfind(DataKey(*table), 0) != 0) {
+      n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    Install(name, std::move(table), snap, /*replace=*/true);
+    ++restored;
   }
   return restored;
 }

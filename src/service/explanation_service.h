@@ -25,6 +25,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@
 #include "util/thread_pool.h"
 
 namespace causumx {
+
+/// A parsed snapshot container (storage/snapshot.h).
+class SnapshotReader;
 
 /// Service-wide configuration.
 struct ServiceOptions {
@@ -57,18 +61,13 @@ struct ServiceOptions {
   /// (debugging; results are bit-identical, just slower).
   bool cache_enabled = true;
   /// Directory for durable snapshots (columnar table + warm caches).
-  /// Empty = persistence off (the pre-storage behavior). When set,
-  /// RegisterTable/LoadCsv attempt a warm restore from the table's
-  /// snapshot (accepted only when the snapshot key — table content
-  /// hash, data version, engine configuration — matches exactly; stale
-  /// or damaged snapshots are counted and ignored, never trusted), and
-  /// RestoreTable/RestoreAll can cold-start tables from disk alone.
+  /// Empty = persistence off. When set, RegisterTable/LoadCsv restore
+  /// warm caches from the table's snapshot when it was taken over the
+  /// same data (table content hash and data version), RestoreAll
+  /// cold-starts tables from disk alone, and every append batch that
+  /// lands writes a fresh snapshot (crash-safe: the previous one stays
+  /// durable until the new one is fully on disk).
   std::string data_dir;
-  /// When data_dir is set: automatically write a fresh snapshot after
-  /// every append batch that lands. The previous snapshot stays durable
-  /// until the new one is fully on disk (write-to-temp + fsync + atomic
-  /// rename), so a crash mid-write never loses the old state.
-  bool snapshot_on_append = true;
 };
 
 /// Cumulative service counters plus a point-in-time cache snapshot.
@@ -81,7 +80,7 @@ struct ServiceStats {
   size_t cache_bytes = 0;            ///< current accounted evictable bytes
   uint64_t snapshots_written = 0;    ///< durable snapshots written
   uint64_t snapshots_restored = 0;   ///< warm restores accepted
-  uint64_t snapshots_rejected = 0;   ///< stale/corrupt snapshots ignored
+  uint64_t snapshots_rejected = 0;   ///< snapshots whose caches went unused
   /// Wall-clock time (unix milliseconds) of the last snapshot written;
   /// 0 = none this process. The REST stats endpoint derives snapshot
   /// age from this.
@@ -252,19 +251,12 @@ class ExplanationService {
   /// already written stay durable).
   size_t SaveAllSnapshots();
 
-  /// Cold-starts `name` from its durable snapshot alone — no CSV: the
-  /// embedded columnar table is decoded and self-verified against the
-  /// snapshot's content-hash key, then the warm caches import on top.
-  /// Returns false (counting a rejection where a file existed) when the
-  /// snapshot is missing, damaged, or built under a different engine
-  /// configuration — the caller falls back to a cold load; a snapshot
-  /// is never partially trusted. Throws std::logic_error without a
+  /// Cold-starts every table with a `*.snap` under data_dir from its
+  /// snapshot alone, at the data version it was saved with; caches never
+  /// decide whether data is kept. Returns how many tables registered;
+  /// snapshots whose table section does not decode or match the key are
+  /// skipped (counted as rejected). Throws std::logic_error without a
   /// data_dir.
-  bool RestoreTable(const std::string& name);
-
-  /// RestoreTable for every `*.snap` under data_dir; returns how many
-  /// tables restored. Unreadable entries are skipped (counted as
-  /// rejected), never fatal.
   size_t RestoreAll();
 
   // ---- query execution -----------------------------------------------------
@@ -336,21 +328,25 @@ class ExplanationService {
 
   /// Staleness fingerprint of a warm snapshot for `table` under this
   /// service's engine configuration (content hash, data version, shard /
-  /// cache / compression knobs). A restore is accepted only on an exact
-  /// match.
+  /// cache / compression knobs) — the one place the key is formatted.
+  /// Readers compare only its data part (content hash and version).
   std::string WarmSnapshotKey(const Table& table) const;
 
-  /// Attempts to warm `entry`'s freshly built engine (and contexts) from
-  /// the durable snapshot for `name`. On any mismatch or damage the
-  /// entry is rebuilt cold (a partially imported engine is never kept)
-  /// and false is returned. Requires a configured data_dir.
-  bool TryRestoreWarmState(const std::string& name, TableEntry* entry);
+  /// The durable snapshot of `name` (nullopt without a data_dir or a
+  /// file). A file that does not parse, or whose key's data part does
+  /// not match `table` when given, counts as rejected.
+  std::optional<SnapshotReader> ReadSnapshot(const std::string& name,
+                                             const Table* table);
 
-  /// Imports the engine + context sections of a validated snapshot into
-  /// `entry` (whose engine must be freshly built over the snapshot's
-  /// table). Throws StorageError on damage; the entry is unusable then.
-  void ImportWarmSections(const class SnapshotReader& snap,
-                          TableEntry* entry);
+  /// The one entry builder: registers `table` under `name` (unless
+  /// `replace` is false and the name is taken: then returns the live
+  /// table), warm when the caches of `snap` — matched to `table` by the
+  /// caller — construct (counted as restored), cold otherwise (counted
+  /// as rejected when `snap` was given).
+  std::shared_ptr<const Table> Install(
+      const std::string& name, std::shared_ptr<const Table> table,
+      const std::optional<SnapshotReader>& snap, bool replace)
+      CAUSUMX_EXCLUDES(mu_);
 
   /// Append body; caller holds append_mu_ (but not mu_ — the body takes
   /// mu_ briefly to snapshot and to install, so holding it here would

@@ -116,17 +116,21 @@ class ByteReader {
     return v;
   }
 
-  /// LEB128 varint; rejects encodings longer than 10 bytes.
+  /// LEB128 varint; rejects all but the shortest encoding (a zero final
+  /// byte, bits past 64, more than 10 bytes), so every value has exactly
+  /// the bytes PutVarint writes.
   uint64_t GetVarint() {
     uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
       Need(1, "varint");
       unsigned char b = *p_++;
       v |= static_cast<uint64_t>(b & 0x7Fu) << shift;
-      if ((b & 0x80u) == 0) return v;
+      if ((b & 0x80u) != 0) continue;
+      if ((b == 0 && shift > 0) || (shift == 63 && b > 1)) break;
+      return v;
     }
     throw StorageError(StorageErrorKind::kCorrupt,
-                       "storage: varint longer than 10 bytes");
+                       "storage: overlong or non-minimal varint");
   }
 
   /// Inverse of ByteWriter::PutVarintSigned.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -460,21 +461,18 @@ void StreamMonitor::ImportState(const std::string& bytes) {
   engine_ = nullptr;
   context_ = nullptr;
   if (window_table_->NumRows() > 0) {
-    engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
-    context_ =
-        std::make_shared<EstimatorContext>(engine_, dag_, config_.estimator);
-    if (!engine_state.empty()) {
-      try {
-        engine_->ImportCacheState(engine_state);
-        if (!memo_state.empty()) context_->ImportMemoState(memo_state);
-      } catch (const StorageError&) {
-        // Configuration skew (e.g. the cache was exported under a
-        // different shard plan): rebuild cold. Summaries stay
-        // bit-identical either way — only warmth is lost.
-        engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
-        context_ = std::make_shared<EstimatorContext>(engine_, dag_,
-                                                      config_.estimator);
-      }
+    // The service's cache-fallback rule: warm when the exported caches
+    // construct, cold otherwise. Summaries are bit-identical either way
+    // — only warmth is lost.
+    try {
+      engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions(),
+                                             engine_state);
+      context_ = std::make_shared<EstimatorContext>(
+          engine_, dag_, config_.estimator, memo_state);
+    } catch (const StorageError&) {
+      engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
+      context_ =
+          std::make_shared<EstimatorContext>(engine_, dag_, config_.estimator);
     }
   }
   rows_observed_ = rows_observed;
@@ -489,9 +487,8 @@ void StreamMonitor::ImportState(const std::string& bytes) {
   events_cv_.NotifyAll();
 }
 
-MonitorRegistry::MonitorRegistry(ExplanationService& service,
-                                 MonitorRegistryOptions options)
-    : service_(service), options_(options) {
+MonitorRegistry::MonitorRegistry(ExplanationService& service)
+    : service_(service) {
   service_.AddAppendObserver(
       [this](const std::string& name,
              const std::vector<std::vector<Value>>& rows,
@@ -554,9 +551,9 @@ void MonitorRegistry::OnAppend(const std::string& name,
     }
   }
   for (const auto& monitor : targets) monitor->OnAppend(rows);
-  if (options_.snapshot_on_append && !targets.empty() &&
-      !service_.options().data_dir.empty()) {
-    // Same policy as the service's snapshot-on-append: a persistence
+  if (!targets.empty() && !service_.options().data_dir.empty()) {
+    // The service's persist-on-append policy: with a data_dir every
+    // append that reaches a monitor is persisted, and a persistence
     // failure never unwinds processing that already happened.
     try {
       SaveSnapshot();
@@ -602,27 +599,22 @@ size_t MonitorRegistry::SaveSnapshot() {
 size_t MonitorRegistry::RestoreMonitors() {
   const std::string path = SnapshotFilePath();
   if (!FileExists(path)) return 0;
-  SnapshotReader snap = [&] {
-    try {
-      return SnapshotReader::ReadFile(path, kMonitorSnapshotKind,
-                                      kMonitorSnapshotVersion);
-    } catch (const StorageError&) {
-      // Damaged or foreign file: restore nothing, never partially trust.
-      return SnapshotReader::Parse(
-          SnapshotWriter(kMonitorSnapshotKind, kMonitorSnapshotVersion, "")
-              .Serialize(),
-          kMonitorSnapshotKind, kMonitorSnapshotVersion);
-    }
-  }();
+  std::optional<SnapshotReader> snap;
+  try {
+    snap = SnapshotReader::ReadFile(path, kMonitorSnapshotKind,
+                                    kMonitorSnapshotVersion);
+  } catch (const StorageError&) {
+    return 0;  // damaged or foreign file: restore nothing
+  }
   uint64_t next_id = 1;
-  if (snap.HasSection("registry")) {
-    ByteReader r(snap.Section("registry"));
+  if (snap->HasSection("registry")) {
+    ByteReader r(snap->Section("registry"));
     next_id = r.GetU64();
   }
   size_t restored = 0;
-  for (const std::string& name : snap.SectionNames()) {
+  for (const std::string& name : snap->SectionNames()) {
     if (name.rfind("monitor/", 0) != 0) continue;
-    const std::string& state = snap.Section(name);
+    const std::string& state = snap->Section(name);
     try {
       ByteReader r(state);
       const std::string id = r.GetString();

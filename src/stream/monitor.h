@@ -173,11 +173,11 @@ class StreamMonitor {
 
   /// Restores state exported by ExportState into a freshly constructed
   /// monitor (same id and spec; nothing observed yet). The warm caches
-  /// are re-imported when they still match the rebuilt engine
-  /// configuration and silently rebuilt cold otherwise — restored
-  /// monitors produce bit-identical summaries either way. Throws
-  /// StorageError(kCorrupt/kStale) on damage or an id/spec mismatch;
-  /// the monitor must be discarded after a throw.
+  /// restore through the engine and context restore constructors when
+  /// they construct and start cold otherwise — restored monitors produce
+  /// bit-identical summaries either way. Throws
+  /// StorageError(kCorrupt/kStale) on damage or an id/spec mismatch,
+  /// before any member changes (the registry then skips the monitor).
   void ImportState(const std::string& bytes) CAUSUMX_EXCLUDES(mu_);
 
  private:
@@ -264,14 +264,6 @@ class StreamMonitor {
   uint64_t next_seq_ CAUSUMX_GUARDED_BY(mu_) = 1;
 };
 
-/// Options of the monitor registry.
-struct MonitorRegistryOptions {
-  /// Persist all monitor state (SaveSnapshot) after every processed
-  /// append batch. Requires the service to have a data_dir; write
-  /// failures are swallowed like the service's own snapshot-on-append.
-  bool snapshot_on_append = false;
-};
-
 /// Owns the monitors of one ExplanationService and feeds them from its
 /// append stream.
 ///
@@ -282,9 +274,10 @@ struct MonitorRegistryOptions {
 class MonitorRegistry {
  public:
   /// Binds to `service` and registers the append observer that drives
-  /// every monitor.
-  explicit MonitorRegistry(ExplanationService& service,
-                           MonitorRegistryOptions options = {});
+  /// every monitor. With a service data_dir, every append batch that
+  /// reaches a monitor persists all monitors (SaveSnapshot; a write
+  /// failure is swallowed like the service's own per-append snapshot).
+  explicit MonitorRegistry(ExplanationService& service);
 
   MonitorRegistry(const MonitorRegistry&) = delete;
   MonitorRegistry& operator=(const MonitorRegistry&) = delete;
@@ -323,7 +316,7 @@ class MonitorRegistry {
 
  private:
   /// The append-observer body: routes the batch to every monitor of the
-  /// table, then optionally persists.
+  /// table, then persists when the service has a data_dir.
   void OnAppend(const std::string& name,
                 const std::vector<std::vector<Value>>& rows);
 
@@ -331,7 +324,6 @@ class MonitorRegistry {
   std::string SnapshotFilePath() const;
 
   ExplanationService& service_;
-  const MonitorRegistryOptions options_;
   mutable util::Mutex mu_;
   std::map<std::string, std::shared_ptr<StreamMonitor>> monitors_
       CAUSUMX_GUARDED_BY(mu_);

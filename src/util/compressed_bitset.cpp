@@ -34,9 +34,12 @@ uint64_t GetVar(const std::string& b, size_t* pos) {
     if (*pos >= b.size()) Malformed("truncated varint");
     const unsigned char byte = static_cast<unsigned char>(b[(*pos)++]);
     v |= static_cast<uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) return v;
+    if ((byte & 0x80u) != 0) continue;
+    // Only the shortest encoding, so Serialize reproduces the bytes.
+    if ((byte == 0 && shift > 0) || (shift == 63 && byte > 1)) break;
+    return v;
   }
-  Malformed("overlong varint");
+  Malformed("overlong or non-minimal varint");
 }
 
 void PutU16Le(std::string* out, uint16_t v) {

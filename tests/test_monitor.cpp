@@ -358,7 +358,10 @@ TEST(MonitorSpecTest, RejectsMalformedSpecs) {
 // Snapshot round trip: a monitor snapshotted mid-stream and restored
 // into a fresh registry/service must continue bit-identically — same
 // events (same seqs, same payloads) as a monitor that never stopped.
-TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
+// Without `save_explicitly` the process dies right after its last
+// append returns, so only the registry's per-append persistence saved
+// the monitor.
+void ExpectRestoredMonitorContinuesBitIdentically(bool save_explicitly) {
   TempDir dir;
   LinearScmOptions base;
   base.num_rows = 600;
@@ -376,7 +379,8 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
   reference.OnAppend(a.table.MaterializeRows(0, n));
   reference.OnAppend(b.table.MaterializeRows(0, n));
 
-  // Interrupted: window a + half of the second a-window, snapshot, kill.
+  // Interrupted: window a + half of the second a-window, then a kill
+  // (after an explicit snapshot when `save_explicitly`).
   ServiceOptions persistent;
   persistent.data_dir = dir.path;
   {
@@ -387,7 +391,9 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
     registry.Create(spec);
     service.Append("t", a.table.MaterializeRows(0, n));
     service.Append("t", a.table.MaterializeRows(0, n / 2));
-    EXPECT_GT(registry.SaveSnapshot(), 0u);
+    if (save_explicitly) {
+      EXPECT_GT(registry.SaveSnapshot(), 0u);
+    }
   }
 
   // Restore into a fresh process image and stream the remainder. The
@@ -419,6 +425,36 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
   // A stale snapshot (spec changed) restores nothing but does not throw.
   MonitorRegistry fresh_registry(service);
   EXPECT_EQ(fresh_registry.RestoreMonitors(), 1u);
+}
+
+TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
+  ExpectRestoredMonitorContinuesBitIdentically(/*save_explicitly=*/true);
+}
+
+TEST(MonitorSnapshotTest, MonitorSurvivesCrashAfterAppend) {
+  ExpectRestoredMonitorContinuesBitIdentically(/*save_explicitly=*/false);
+}
+
+// A restore is one more rebind: the window's caches come back with the
+// shard size the appends gave them, so the restored monitor holds
+// exactly the exported cache bytes even when the batches were smaller
+// than the window (a fresh plan for the window rows would differ).
+TEST(MonitorSnapshotTest, RestoredCachesKeepTheirBytes) {
+  LinearScmOptions options;
+  options.num_rows = 250;
+  const GeneratedDataset ds = MakeLinearScmDataset(options);
+  const std::string spec = ScmSpec(200, ds.dag, 0.0);
+  StreamMonitor monitor("m1", spec, ds.table, nullptr);
+  for (size_t begin = 0; begin < 250; begin += 50) {
+    monitor.OnAppend(ds.table.MaterializeRows(begin, begin + 50));
+  }
+  const size_t exported_bytes = monitor.Status().cache_bytes;
+  ASSERT_GT(exported_bytes, 0u);
+
+  StreamMonitor restored("m1", spec, ds.table, nullptr);
+  restored.ImportState(monitor.ExportState());
+  EXPECT_EQ(restored.Status().cache_bytes, exported_bytes);
+  EXPECT_EQ(restored.Status().window_rows, monitor.Status().window_rows);
 }
 
 // Events API: seq numbering, since-filtering, and the long-poll wait.

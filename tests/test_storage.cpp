@@ -301,6 +301,16 @@ TEST(TableIoTest, MixedTableRoundTrips) {
   }
 }
 
+TEST(TableIoTest, VersionRoundTrips) {
+  Table t = MakeMixedTable(100);
+  t.AppendRows(MakeMixedTable(10).MaterializeRows(0, 10));
+  t.AppendRows(MakeMixedTable(5).MaterializeRows(0, 5));
+  ASSERT_EQ(t.version(), 2u);
+  const Table back = DeserializeTable(SerializeTable(t));
+  EXPECT_EQ(back.version(), 2u);
+  ExpectTablesEqual(t, back);
+}
+
 TEST(TableIoTest, FileRoundTripViaDurableWrite) {
   TempDir dir;
   const std::string path = dir.path + "/table.ctbl";
@@ -539,26 +549,53 @@ TEST(EngineCacheSerdeTest, RestoredEngineEvaluatesIdentically) {
   ASSERT_GT(a.NumInterned(), 0u);
 
   const std::string state = a.ExportCacheState();
-  EvalEngine b(table, opts);
-  const size_t restored = b.ImportCacheState(state);
-  EXPECT_GT(restored, 0u);
+  EvalEngine b(table, opts, state);
+  EXPECT_GT(b.CacheBytes(), 0u);
   EXPECT_EQ(b.NumInterned(), a.NumInterned());
   EXPECT_EQ(b.CacheBytes(), a.CacheBytes());
   EXPECT_TRUE(b.Evaluate(pattern) == expected);
 
-  // Import into a non-fresh engine is a programming error.
-  EXPECT_THROW(b.ImportCacheState(state), std::logic_error);
-
-  // Import under a different configuration is stale, not silently wrong.
+  // Restore under a different configuration is stale, not silently wrong.
   EvalEngineOptions other = opts;
-  other.num_shards = 2;
-  EvalEngine c(table, other);
+  other.compression = SegmentCompression::kNever;
   try {
-    c.ImportCacheState(state);
+    EvalEngine c(table, other, state);
     FAIL() << "config mismatch accepted";
   } catch (const StorageError& e) {
     EXPECT_EQ(e.kind(), StorageErrorKind::kStale);
   }
+}
+
+// An engine grown by the rebind constructor keeps its base's shard size,
+// which differs from the plan a fresh engine would pick for the grown
+// row count. Its export must restore with that same shard size,
+// evaluate identically, and re-export the same bytes.
+TEST(EngineCacheSerdeTest, RebindGrownEngineRestoresWithItsShardSize) {
+  const auto base_table = std::make_shared<const Table>(MakeMixedTable(1000));
+  EvalEngineOptions opts;
+  opts.num_shards = 4;
+  EvalEngine base(base_table, opts);
+  const Pattern pattern({
+      SimplePredicate("city", CompareOp::kEq, Value(std::string("lima"))),
+      SimplePredicate("score", CompareOp::kGt, Value(40.0)),
+  });
+  base.Evaluate(pattern);
+
+  auto grown = std::make_shared<Table>(base_table->Clone());
+  grown->AppendRows(base_table->MaterializeRows(0, 400));
+  const std::shared_ptr<const Table> grown_table = std::move(grown);
+  EvalEngine rebound(grown_table, base);
+  const Bitset expected = rebound.Evaluate(pattern);
+  ASSERT_NE(rebound.plan().shard_rows(),
+            EvalEngine(grown_table, opts).plan().shard_rows());
+
+  const std::string state = rebound.ExportCacheState();
+  EvalEngine restored(grown_table, opts, state);
+  EXPECT_EQ(restored.plan().shard_rows(), rebound.plan().shard_rows());
+  EXPECT_EQ(restored.CacheBytes(), rebound.CacheBytes());
+  EXPECT_TRUE(restored.Evaluate(pattern) == expected);
+  EXPECT_TRUE(restored.Evaluate(pattern) == pattern.Evaluate(*grown_table));
+  EXPECT_EQ(restored.ExportCacheState(), state);
 }
 
 // ---- service warm restarts -------------------------------------------------
@@ -667,6 +704,101 @@ TEST(ServicePersistenceTest, ColdStartFromSnapshotAlone) {
   EXPECT_GT(warm.cache_stats.estimator.memo_hits, 0u);
 }
 
+// A table that got an append comes back from its snapshot alone: the
+// rebind kept the registration's shard size, and the restore keeps it
+// too instead of rejecting the caches over a re-derived plan.
+TEST(ServicePersistenceTest, AppendedTableRestoresWarmFromSnapshotAlone) {
+  for (const size_t shards : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE(shards);
+    TempDir dir;
+    SyntheticOptions opt;
+    opt.num_rows = 1400;
+    opt.num_treatment_attrs = 3;
+    GeneratedDataset ds = MakeSyntheticDataset(opt);
+    const CauSumXConfig config = MakeConfig(ds);
+    ServiceOptions options = PersistentOptions(dir.path);
+    options.num_shards = shards;
+    {
+      ExplanationService service(options);
+      service.RegisterTable(
+          "t", std::make_shared<const Table>(ds.table.Head(1000)));
+      service.Explain("t", ds.default_query, ds.dag, config);
+      service.Append("t", ds.table.MaterializeRows(1000, 1400));
+      service.Explain("t", ds.default_query, ds.dag, config);
+      service.SaveSnapshot("t");
+    }
+
+    ExplanationService cold;
+    cold.RegisterTable("t", std::make_shared<const Table>(ds.table.Clone()));
+    const std::string cold_json = SummaryToJson(
+        cold.Explain("t", ds.default_query, ds.dag, config).summary);
+
+    ExplanationService restored(options);
+    EXPECT_EQ(restored.RestoreAll(), 1u);
+    ASSERT_EQ(restored.TableNames().size(), 1u);
+    EXPECT_EQ(restored.GetTable("t")->NumRows(), 1400u);
+    EXPECT_EQ(restored.TableVersion("t"), 1u);
+    EXPECT_EQ(restored.Stats().snapshots_restored, 1u);
+    EXPECT_EQ(restored.Stats().snapshots_rejected, 0u);
+    const CauSumXResult warm =
+        restored.Explain("t", ds.default_query, ds.dag, config);
+    EXPECT_EQ(SummaryToJson(warm.summary), cold_json);
+    EXPECT_GT(warm.cache_stats.estimator.memo_hits, 0u);
+  }
+}
+
+// Caches never decide whether data is kept: a snapshot whose caches were
+// built under another engine configuration still restores its table
+// (cold), and counts as rejected.
+TEST(ServicePersistenceTest, StaleCachesStillRestoreTheTable) {
+  TempDir dir;
+  GeneratedDataset ds = MakeData();
+  const CauSumXConfig config = MakeConfig(ds);
+  std::string cold_json;
+  {
+    ExplanationService service(PersistentOptions(dir.path));
+    service.RegisterTable("t", ds.table.Clone());
+    cold_json = SummaryToJson(
+        service.Explain("t", ds.default_query, ds.dag, config).summary);
+    service.SaveSnapshot("t");
+  }
+  ServiceOptions flipped = PersistentOptions(dir.path);
+  flipped.cache_enabled = false;
+  ExplanationService restarted(flipped);
+  EXPECT_EQ(restarted.RestoreAll(), 1u);
+  ASSERT_TRUE(restarted.HasTable("t"));
+  EXPECT_EQ(restarted.Stats().snapshots_restored, 0u);
+  EXPECT_EQ(restarted.Stats().snapshots_rejected, 1u);
+  const CauSumXResult r =
+      restarted.Explain("t", ds.default_query, ds.dag, config);
+  EXPECT_EQ(SummaryToJson(r.summary), cold_json);
+}
+
+// The shard count knob never changes results, so re-registering the same
+// data under another one restores warm with the saved shard size.
+TEST(ServicePersistenceTest, RegisterRestoresWarmAcrossShardChange) {
+  TempDir dir;
+  const std::string cold_json = RunOnFreshService(dir.path);
+  {
+    GeneratedDataset ds = MakeData();
+    ExplanationService service(PersistentOptions(dir.path));
+    service.RegisterTable("t", std::move(ds.table));
+    service.Explain("t", ds.default_query, ds.dag, MakeConfig(MakeData()));
+    service.SaveSnapshot("t");
+  }
+  ServiceOptions sharded = PersistentOptions(dir.path);
+  sharded.num_shards = 4;
+  ExplanationService restarted(sharded);
+  GeneratedDataset ds = MakeData();
+  restarted.RegisterTable("t", std::move(ds.table));
+  EXPECT_EQ(restarted.Stats().snapshots_restored, 1u);
+  EXPECT_EQ(restarted.Stats().snapshots_rejected, 0u);
+  const CauSumXResult warm = restarted.Explain("t", ds.default_query, ds.dag,
+                                               MakeConfig(MakeData()));
+  EXPECT_EQ(SummaryToJson(warm.summary), cold_json);
+  EXPECT_GT(warm.cache_stats.estimator.memo_hits, 0u);
+}
+
 // Writes a valid snapshot, damages it with `mutate`, then asserts a
 // restart detects the damage, falls back to a cold rebuild, and still
 // answers bit-identically.
@@ -734,7 +866,6 @@ TEST(ServicePersistenceTest, StaleSnapshotOfDifferentDataRejected) {
     GeneratedDataset ds = MakeData();
     ExplanationService service(PersistentOptions(dir.path));
     ServiceOptions o = PersistentOptions(dir.path);
-    o.snapshot_on_append = false;  // snapshot manually below
     ExplanationService svc(o);
     svc.RegisterTable("t", std::move(ds.table));
     svc.Append("t", svc.GetTable("t")->MaterializeRows(0, 5));

@@ -615,10 +615,10 @@ TEST(BatchAppendTest, AppendErrorsAreReportedPerLine) {
 
 // Runs under TSan in CI: concurrent appender threads drive a sliding-
 // window monitor (so rows expire and the retract path runs) through the
-// registry's append observer with snapshot-on-append enabled, while
-// long-poll subscriber threads tail the event stream and status readers
-// poll concurrently. Every subscriber must observe every event seq
-// exactly once with no gaps or duplicates.
+// registry's append observer, which persists every append (the service
+// has a data_dir), while long-poll subscriber threads tail the event
+// stream and status readers poll concurrently. Every subscriber must
+// observe every event seq exactly once with no gaps or duplicates.
 TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
   struct TempDir {
     std::string path;
@@ -644,9 +644,7 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
   ExplanationService service(options);
   service.RegisterTable("t", std::make_shared<const Table>(schema.Clone()));
 
-  MonitorRegistryOptions registry_options;
-  registry_options.snapshot_on_append = true;
-  MonitorRegistry registry(service, registry_options);
+  MonitorRegistry registry(service);
   const auto monitor = registry.Create(
       "{\"table\":\"t\",\"group_by\":[\"grp\"],\"avg\":\"val\","
       "\"dag_text\":\"trt -> val\\n\",\"grouping_attrs\":[\"grp\"],"
@@ -715,8 +713,8 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
   EXPECT_EQ(s.rows_observed, total);
   EXPECT_EQ(s.windows_evaluated, (total - 40) / 20 + 1);
   EXPECT_EQ(s.last_seq, s.windows_evaluated);  // one summary per window
-  // snapshot_on_append persisted the registry; a fresh registry can
-  // restore the monitor from it.
+  // Every append persisted the registry; a fresh registry can restore
+  // the monitor from it.
   ExplanationService fresh(options);
   fresh.RegisterTable("t", std::make_shared<const Table>(schema.Clone()));
   MonitorRegistry restored(fresh);

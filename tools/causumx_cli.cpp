@@ -76,17 +76,21 @@
 // Without --dag/--discover, the No-DAG strawman is used (and a warning
 // printed): supply domain knowledge for trustworthy effects.
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include <unistd.h>
 
-#include "causal/dag_io.h"
-#include "causal/discovery.h"
 #include "core/exploration.h"
 #include "core/json_export.h"
 #include "core/renderer.h"
@@ -151,6 +155,31 @@ void PrintUsage() {
                "see docs/CLI.md for the full reference\n");
 }
 
+// The one number reader of the flag parsers: the whole value must be a
+// non-negative decimal number (an integer for integer flags) that fits
+// the target. Otherwise it prints an error naming the flag and returns
+// false (the caller exits 2).
+template <typename T>
+bool ReadFlagNumber(const std::string& flag, const char* text, T* out) {
+  constexpr bool kInteger = std::is_integral_v<T>;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  const bool ok =
+      (std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.') &&
+      std::strpbrk(text, "xX") == nullptr && *end == '\0' &&
+      std::isfinite(v) &&
+      (!kInteger ||
+       (v == std::floor(v) &&
+        v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0));
+  if (!ok) {
+    std::fprintf(stderr, "error: %s expects a non-negative %s, got '%s'\n",
+                 flag.c_str(), kInteger ? "integer" : "number", text);
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 // ---- serve mode ------------------------------------------------------------
 
 struct ServeOptions {
@@ -180,7 +209,7 @@ bool ParseServeArgs(int argc, char** argv, ServeOptions* opt) {
     const char* v = nullptr;
     if (arg == "--port") {
       if (!(v = next())) return false;
-      opt->port = static_cast<uint16_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->port)) return false;
     } else if (arg == "--host") {
       if (!(v = next())) return false;
       opt->host = v;
@@ -192,19 +221,19 @@ bool ParseServeArgs(int argc, char** argv, ServeOptions* opt) {
       opt->table_name = v;
     } else if (arg == "--threads") {
       if (!(v = next())) return false;
-      opt->threads = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->threads)) return false;
     } else if (arg == "--shards") {
       if (!(v = next())) return false;
-      opt->shards = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->shards)) return false;
     } else if (arg == "--budget-mb") {
       if (!(v = next())) return false;
-      opt->budget_mb = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->budget_mb)) return false;
     } else if (arg == "--max-body-mb") {
       if (!(v = next())) return false;
-      opt->max_body_mb = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->max_body_mb)) return false;
     } else if (arg == "--queue") {
       if (!(v = next())) return false;
-      opt->queue = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->queue)) return false;
     } else if (arg == "--no-cache") {
       opt->no_cache = true;
     } else if (arg == "--data-dir") {
@@ -403,19 +432,19 @@ bool ParseMonitorArgs(int argc, char** argv, MonitorCliOptions* opt) {
       opt->replay_path = v;
     } else if (arg == "--seed-rows") {
       if (!(v = next())) return false;
-      opt->seed_rows = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->seed_rows)) return false;
     } else if (arg == "--batch-rows") {
       if (!(v = next())) return false;
-      opt->batch_rows = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->batch_rows)) return false;
     } else if (arg == "--table") {
       if (!(v = next())) return false;
       opt->table_name = v;
     } else if (arg == "--threads") {
       if (!(v = next())) return false;
-      opt->threads = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->threads)) return false;
     } else if (arg == "--shards") {
       if (!(v = next())) return false;
-      opt->shards = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->shards)) return false;
     } else if (arg == "--data-dir") {
       if (!(v = next())) return false;
       opt->data_dir = v;
@@ -585,19 +614,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--k") {
       const char* v = next();
       if (!v) return false;
-      opt->k = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->k)) return false;
     } else if (arg == "--theta") {
       const char* v = next();
       if (!v) return false;
-      opt->theta = std::atof(v);
+      if (!ReadFlagNumber(arg, v, &opt->theta)) return false;
     } else if (arg == "--support") {
       const char* v = next();
       if (!v) return false;
-      opt->support = std::atof(v);
+      if (!ReadFlagNumber(arg, v, &opt->support)) return false;
     } else if (arg == "--alpha") {
       const char* v = next();
       if (!v) return false;
-      opt->alpha = std::atof(v);
+      if (!ReadFlagNumber(arg, v, &opt->alpha)) return false;
     } else if (arg == "--where") {
       const char* v = next();
       if (!v) return false;
@@ -611,7 +640,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--top-treatments") {
       const char* v = next();
       if (!v) return false;
-      opt->top_treatments = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->top_treatments)) return false;
     } else if (arg == "--append") {
       const char* v = next();
       if (!v) return false;
@@ -623,15 +652,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--budget-mb") {
       const char* v = next();
       if (!v) return false;
-      opt->budget_mb = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->budget_mb)) return false;
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return false;
-      opt->threads = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->threads)) return false;
     } else if (arg == "--shards") {
       const char* v = next();
       if (!v) return false;
-      opt->shards = static_cast<size_t>(std::atoi(v));
+      if (!ReadFlagNumber(arg, v, &opt->shards)) return false;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage();
       return false;
@@ -780,25 +809,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loaded %zu rows x %zu columns from %s\n",
                  table->NumRows(), table->NumColumns(), opt.csv_path.c_str());
 
-    GroupByAvgQuery query;
-    query.group_by = opt.group_by;
-    query.avg_attribute = opt.avg_attribute;
-    if (!opt.where.empty()) {
-      query.where = Pattern({ParseWherePredicate(opt.where, *table)});
-    }
-
-    CausalDag dag;
+    // The query flags mean what the same fields mean in a batch line or
+    // an explain request: one parser, one validation policy.
+    JsonWriter spec;
+    spec.BeginObject().Key("group_by").BeginArray();
+    for (const std::string& attr : opt.group_by) spec.String(attr);
+    spec.EndArray().Key("avg").String(opt.avg_attribute);
+    if (!opt.where.empty()) spec.Key("where").String(opt.where);
+    if (!opt.dag_path.empty()) spec.Key("dag").String(opt.dag_path);
+    if (!opt.discover.empty()) spec.Key("discover").String(opt.discover);
+    spec.Key("k").Uint(opt.k)
+        .Key("theta").Double(opt.theta)
+        .Key("support").Double(opt.support)
+        .Key("alpha").Double(opt.alpha)
+        .Key("num_threads").Uint(opt.threads)
+        .EndObject();
+    QuerySpec parsed = ParseQuerySpec(JsonValue::Parse(spec.str()), *table, 0);
+    const GroupByAvgQuery& query = parsed.query;
+    const CausalDag& dag = parsed.dag;
     if (!opt.dag_path.empty()) {
-      dag = ReadDagFile(opt.dag_path);
       std::fprintf(stderr, "dag: %zu nodes, %zu edges from %s\n",
                    dag.NumNodes(), dag.NumEdges(), opt.dag_path.c_str());
     } else if (!opt.discover.empty()) {
-      dag = DiscoverDag(*table, ParseDiscoveryAlgorithm(opt.discover),
-                        opt.avg_attribute);
       std::fprintf(stderr, "dag: discovered by %s — %zu edges\n",
                    opt.discover.c_str(), dag.NumEdges());
     } else {
-      dag = MakeNoDag(*table, opt.avg_attribute);
       std::fprintf(stderr,
                    "warning: no --dag/--discover given; using the No-DAG "
                    "strawman (all attributes -> outcome). Effects are\n"
@@ -806,13 +841,9 @@ int main(int argc, char** argv) {
                    "trustworthy estimates.\n");
     }
 
-    CauSumXConfig config;
-    config.k = opt.k;
-    config.theta = opt.theta;
-    config.apriori_support = opt.support;
-    config.treatment.alpha = opt.alpha;
+    // --shards and --no-cache are execution knobs, not query fields.
+    CauSumXConfig& config = parsed.config;
     config.disable_eval_cache = opt.no_cache;
-    config.num_threads = opt.threads;
     config.num_shards = opt.shards;
 
     if (!opt.append_path.empty()) {
