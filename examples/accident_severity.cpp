@@ -34,7 +34,7 @@ int main() {
   std::printf(
       "\n%zu grouping candidates, %zu with treatments, %zu CATEs "
       "evaluated\n",
-      result.num_grouping_candidates, result.num_candidates_with_treatment,
+      result.num_grouping_candidates, result.candidates.size(),
       result.treatment_patterns_evaluated);
   for (const auto& [phase, seconds] : result.timings.phases()) {
     std::printf("phase %-10s %.3fs\n", phase.c_str(), seconds);

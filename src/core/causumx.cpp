@@ -8,80 +8,99 @@
 
 namespace causumx {
 
-CandidateMiningResult MineExplanationCandidates(const Table& table,
-                                                const GroupByAvgQuery& query,
-                                                const CausalDag& dag,
-                                                const CauSumXConfig& config) {
-  return MineExplanationCandidates(table, query, dag, config, nullptr);
+namespace {
+
+size_t QueryThreads(const CauSumXConfig& config) {
+  return config.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                 : config.num_threads;
 }
 
-CandidateMiningResult MineExplanationCandidates(
-    const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
-    const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine,
-    std::shared_ptr<EstimatorContext> estimator_ctx, ThreadPool* pool) {
-  // Resolve the worker pool before the engine: a run-private engine
-  // shares it for shard-parallel segment builds, and the view below
-  // evaluates on it. Precedence: explicit pool > the engine's own pool
-  // (only when the caller left num_threads at the default — an explicit
-  // count is a per-query concurrency bound and must not silently widen
-  // to a shared engine's pool) > a private pool of config.num_threads.
-  const size_t num_threads = config.num_threads == 0
-                                 ? ThreadPool::DefaultThreads()
-                                 : config.num_threads;
+// What one query runs on. Held only for the run, so a run-private
+// engine, context and pool are torn down before the driver returns.
+struct QueryRun {
+  std::shared_ptr<EvalEngine> engine;
+  std::shared_ptr<EstimatorContext> context;
   std::shared_ptr<ThreadPool> private_pool;
-  if (pool == nullptr && config.num_threads == 0 && engine != nullptr) {
-    pool = engine->pool();
+  ThreadPool* pool = nullptr;  // null = serial
+};
+
+// The pool rule of RunCauSumX. An explicit num_threads is a per-query
+// concurrency bound, so it never widens to a larger lent pool.
+QueryRun ResolveQueryRun(const Table& table, const CausalDag& dag,
+                         const CauSumXConfig& config,
+                         std::shared_ptr<EvalEngine> engine,
+                         std::shared_ptr<EstimatorContext> context,
+                         ThreadPool* pool) {
+  QueryRun run;
+  // A built engine aliases `table` without owning it: it lives only for
+  // the run, inside the caller's lifetime of `table`.
+  run.engine = engine != nullptr
+                   ? std::move(engine)
+                   : MakeQueryEngine(std::shared_ptr<const Table>(
+                                         std::shared_ptr<const Table>(),
+                                         &table),
+                                     config);
+  run.context = context != nullptr
+                    ? std::move(context)
+                    : std::make_shared<EstimatorContext>(run.engine, dag,
+                                                         config.estimator);
+  ThreadPool* lent = pool != nullptr ? pool : run.engine->pool();
+  const size_t threads = QueryThreads(config);
+  if (lent != nullptr &&
+      (config.num_threads == 0 || config.num_threads == lent->NumThreads())) {
+    run.pool = lent;
+  } else if (threads > 1) {
+    run.private_pool = std::make_shared<ThreadPool>(threads);
+    run.pool = run.private_pool.get();
   }
-  if (pool == nullptr && num_threads > 1) {
-    private_pool = std::make_shared<ThreadPool>(num_threads);
-    pool = private_pool.get();
+  return run;
+}
+
+// Attribute partition around the query (Section 4.1). Each allowlist
+// (the paper's protocol pre-selects attributes per dataset) replaces its
+// side of the FD split.
+AttributePartition PartitionFor(const Table& table,
+                                const GroupByAvgQuery& query,
+                                const CauSumXConfig& config) {
+  const std::vector<std::string>& grouping =
+      config.grouping_attribute_allowlist;
+  AttributePartition partition;
+  if (grouping.empty()) {
+    partition =
+        PartitionAttributes(table, query.group_by, query.avg_attribute);
+  } else {
+    partition.grouping_attributes = grouping;
+    const auto listed = [](const auto& names, const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    for (const auto& name : table.ColumnNames()) {
+      if (name != query.avg_attribute && !listed(query.group_by, name) &&
+          !listed(grouping, name)) {
+        partition.treatment_attributes.push_back(name);
+      }
+    }
   }
-  if (engine == nullptr) {
-    EvalEngineOptions eopt;
-    eopt.cache_enabled = !config.disable_eval_cache;
-    eopt.num_shards = config.num_shards;
-    eopt.pool = private_pool;
-    engine = std::make_shared<EvalEngine>(table, std::move(eopt));
+  if (!config.treatment_attribute_allowlist.empty()) {
+    partition.treatment_attributes = config.treatment_attribute_allowlist;
   }
-  if (estimator_ctx == nullptr) {
-    estimator_ctx = std::make_shared<EstimatorContext>(engine, dag,
-                                                       config.estimator);
-  }
+  return partition;
+}
+
+// Phases 1 + 2 over a resolved run.
+CandidateMiningResult MineCandidates(const Table& table,
+                                     const GroupByAvgQuery& query,
+                                     const CauSumXConfig& config,
+                                     const QueryRun& run) {
   CandidateMiningResult result;
   Timer timer;
 
   // Evaluate the aggregate view Q(D), shard-parallel over the engine's
   // plan (bit-identical to the serial path for every plan).
   result.view =
-      AggregateView::Evaluate(table, query, engine->plan(), pool);
+      AggregateView::Evaluate(table, query, run.engine->plan(), run.pool);
   const AggregateView& view = result.view;
-  const size_t m = view.NumGroups();
-  if (m == 0) return result;
-
-  // Attribute partition around the query (Section 4.1). An explicit
-  // allowlist (the paper's protocol — it pre-selects grouping attributes
-  // per dataset) overrides FD detection.
-  if (!config.grouping_attribute_allowlist.empty()) {
-    result.partition.grouping_attributes =
-        config.grouping_attribute_allowlist;
-    for (const auto& name : table.ColumnNames()) {
-      if (name == query.avg_attribute) continue;
-      bool is_gb = false;
-      for (const auto& gb : query.group_by) {
-        if (name == gb) is_gb = true;
-      }
-      bool is_grouping = false;
-      for (const auto& ga : config.grouping_attribute_allowlist) {
-        if (name == ga) is_grouping = true;
-      }
-      if (!is_gb && !is_grouping) {
-        result.partition.treatment_attributes.push_back(name);
-      }
-    }
-  } else {
-    result.partition =
-        PartitionAttributes(table, query.group_by, query.avg_attribute);
-  }
+  result.partition = PartitionFor(table, query, config);
+  if (view.NumGroups() == 0) return result;
 
   // ---- Phase 1: grouping patterns (Section 5.1). --------------------------
   timer.Reset();
@@ -90,18 +109,17 @@ CandidateMiningResult MineExplanationCandidates(
   // grouping.apriori.min_support (set once in the ctor).
   GroupingMinerOptions gopt = config.grouping;
   gopt.apriori.min_support = config.apriori_support;
-  std::vector<GroupingPattern> grouping = MineGroupingPatterns(
-      table, view, result.partition.grouping_attributes, gopt, engine.get());
+  std::vector<GroupingPattern> grouping =
+      MineGroupingPatterns(table, view, result.partition.grouping_attributes,
+                           gopt, run.engine.get());
   result.num_grouping_candidates = grouping.size();
   result.timings.Add("grouping", timer.Seconds());
 
   // ---- Phase 2: treatment patterns (Section 5.2, Algorithm 2). ------------
   timer.Reset();
-  EffectEstimator estimator(estimator_ctx);
+  EffectEstimator estimator(run.context);
   const std::vector<std::string>& treatment_attrs =
-      config.treatment_attribute_allowlist.empty()
-          ? result.partition.treatment_attributes
-          : config.treatment_attribute_allowlist;
+      result.partition.treatment_attributes;
 
   std::vector<Explanation> candidates(grouping.size());
   std::atomic<size_t> evaluated{0};
@@ -125,10 +143,9 @@ CandidateMiningResult MineExplanationCandidates(
     evaluated.fetch_add(stats.patterns_evaluated);
     candidates[gi] = std::move(exp);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(grouping.size(), mine_one);
+  if (run.pool != nullptr) {
+    run.pool->ParallelFor(grouping.size(), mine_one);
   } else {
-    // Serial (num_threads <= 1): no pool was created above.
     for (size_t gi = 0; gi < grouping.size(); ++gi) mine_one(gi);
   }
   result.treatment_patterns_evaluated = evaluated.load();
@@ -140,9 +157,30 @@ CandidateMiningResult MineExplanationCandidates(
     if (c.Weight() > 0.0) result.candidates.push_back(std::move(c));
   }
   result.timings.Add("treatment", timer.Seconds());
-  result.cache_stats.eval = engine->Stats();
+  result.cache_stats.eval = run.engine->Stats();
   result.cache_stats.estimator = estimator.cache_stats();
   return result;
+}
+
+}  // namespace
+
+std::shared_ptr<EvalEngine> MakeQueryEngine(std::shared_ptr<const Table> table,
+                                            const CauSumXConfig& config) {
+  EvalEngineOptions options;
+  options.cache_enabled = !config.disable_eval_cache;
+  options.num_shards = config.num_shards;
+  const size_t threads = QueryThreads(config);
+  if (threads > 1) options.pool = std::make_shared<ThreadPool>(threads);
+  return std::make_shared<EvalEngine>(std::move(table), std::move(options));
+}
+
+CandidateMiningResult MineExplanationCandidates(
+    const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
+    const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine,
+    std::shared_ptr<EstimatorContext> estimator_ctx, ThreadPool* pool) {
+  return MineCandidates(table, query, config,
+                        ResolveQueryRun(table, dag, config, std::move(engine),
+                                        std::move(estimator_ctx), pool));
 }
 
 ExplanationSummary SelectExplanations(
@@ -201,39 +239,21 @@ ExplanationSummary SelectExplanations(
 }
 
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
-                         const CausalDag& dag, const CauSumXConfig& config) {
-  return RunCauSumX(table, query, dag, config, nullptr);
-}
-
-CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
                          const CausalDag& dag, const CauSumXConfig& config,
                          std::shared_ptr<EvalEngine> engine,
                          std::shared_ptr<EstimatorContext> estimator_ctx,
                          ThreadPool* pool) {
+  const QueryRun run = ResolveQueryRun(table, dag, config, std::move(engine),
+                                       std::move(estimator_ctx), pool);
   CauSumXResult result;
-  CandidateMiningResult mined =
-      MineExplanationCandidates(table, query, dag, config, std::move(engine),
-                                std::move(estimator_ctx), pool);
-  result.view = std::move(mined.view);
-  result.partition = std::move(mined.partition);
-  result.num_grouping_candidates = mined.num_grouping_candidates;
-  result.num_candidates_with_treatment = mined.candidates.size();
-  result.treatment_patterns_evaluated = mined.treatment_patterns_evaluated;
-  result.timings = mined.timings;
-  result.cache_stats = mined.cache_stats;
-  if (result.view.NumGroups() == 0) return result;
-
-  result.summary = SelectExplanations(mined.candidates,
-                                      result.view.NumGroups(), config,
-                                      &result.timings, pool);
+  static_cast<CandidateMiningResult&>(result) =
+      MineCandidates(table, query, config, run);
+  if (result.view.NumGroups() > 0) {
+    result.summary =
+        SelectExplanations(result.candidates, result.view.NumGroups(),
+                           config, &result.timings, run.pool);
+  }
   return result;
-}
-
-ExplanationSummary ExplainView(const Table& table,
-                               const GroupByAvgQuery& query,
-                               const CausalDag& dag,
-                               const CauSumXConfig& config) {
-  return RunCauSumX(table, query, dag, config).summary;
 }
 
 }  // namespace causumx

@@ -28,6 +28,7 @@
 
 namespace causumx {
 
+/// Worker pool a query runs on (util/thread_pool.h).
 class ThreadPool;
 
 /// Which solver phase 3 uses (the ablation of Section 6.4).
@@ -38,13 +39,15 @@ struct CauSumXConfig {
   size_t k = 5;          ///< max explanation patterns (size constraint).
   double theta = 0.75;   ///< min fraction of groups covered.
   double apriori_support = 0.1;  ///< tau for grouping-pattern mining.
-  GroupingMinerOptions grouping;
-  TreatmentMinerOptions treatment;
-  EstimatorOptions estimator;
-  FinalStepSolver solver = FinalStepSolver::kLpRounding;
-  size_t rounding_rounds = 64;
-  uint64_t seed = 1234;
-  size_t num_threads = 0;  ///< 0 = hardware concurrency.
+  GroupingMinerOptions grouping;    ///< phase 1 (support is apriori_support).
+  TreatmentMinerOptions treatment;  ///< phase 2 lattice walk.
+  EstimatorOptions estimator;       ///< CATE estimation for phase 2.
+  FinalStepSolver solver = FinalStepSolver::kLpRounding;  ///< phase 3.
+  size_t rounding_rounds = 64;  ///< randomized-rounding trials (LP solver).
+  uint64_t seed = 1234;         ///< seed of the randomized rounding.
+  /// Workers per query, 0 = hardware concurrency; RunCauSumX says which
+  /// pool runs them. Results never depend on it.
+  size_t num_threads = 0;
   /// Row shards for the parallel execution engine: 0 = one shard per
   /// worker thread, N >= 1 = that many shards (clamped to one per 64-row
   /// block). Results are bit-identical for every value — sharding only
@@ -53,12 +56,13 @@ struct CauSumXConfig {
   /// Mine both signs (paper default) or positive-only.
   bool mine_negative = true;
   /// Restrict treatment mining to these attributes (empty = all non-FD
-  /// attributes). Used by the sensitive-attributes case study (Fig. 6).
+  /// attributes); replaces the partition's treatment attributes. Used by
+  /// the sensitive-attributes case study (Fig. 6).
   std::vector<std::string> treatment_attribute_allowlist;
   /// Restrict grouping patterns to these attributes (empty = all
-  /// attributes with A_gb -> W). The paper pre-selects these per dataset;
-  /// mandatory when the group-by key is unique per tuple, where the FD
-  /// test is vacuous.
+  /// attributes with A_gb -> W); replaces the partition's grouping
+  /// attributes. The paper pre-selects these per dataset; mandatory when
+  /// the group-by key is unique per tuple, where the FD test is vacuous.
   std::vector<std::string> grouping_attribute_allowlist;
   /// Bypass the evaluation engine's predicate-bitset cache and the
   /// estimator's CATE memo (verification/benchmark mode) for runs that
@@ -67,6 +71,7 @@ struct CauSumXConfig {
   /// Results are bit-identical either way; only the work done differs.
   bool disable_eval_cache = false;
 
+  /// Seeds grouping.apriori.min_support (the driver re-reads the knob).
   CauSumXConfig() { grouping.apriori.min_support = apriori_support; }
 };
 
@@ -74,55 +79,45 @@ struct CauSumXConfig {
 /// context (cumulative when an engine is reused across runs, as in
 /// ExplorationSession).
 struct EngineCacheStats {
-  EvalEngineStats eval;
-  EstimatorCacheStats estimator;
-};
-
-/// Instrumented result (phase timings feed Fig. 14/20).
-struct CauSumXResult {
-  ExplanationSummary summary;
-  AggregateView view;
-  AttributePartition partition;
-  size_t num_grouping_candidates = 0;
-  size_t num_candidates_with_treatment = 0;
-  size_t treatment_patterns_evaluated = 0;
-  PhaseTimer timings;  ///< phases: "grouping", "treatment", "selection".
-  EngineCacheStats cache_stats;
+  EvalEngineStats eval;           ///< predicate-bitset cache counters.
+  EstimatorCacheStats estimator;  ///< CATE memo counters.
 };
 
 /// Output of phases 1 + 2 (mining), reusable across phase-3 parameter
 /// changes — see ExplorationSession in core/exploration.h.
 struct CandidateMiningResult {
-  AggregateView view;
+  AggregateView view;  ///< Q(D), the evaluated aggregate view.
+  /// The attributes mined; each config allowlist replaces its side of
+  /// the FD split.
   AttributePartition partition;
   /// One candidate per surviving grouping pattern, with its top positive
   /// and/or negative treatment already attached.
   std::vector<Explanation> candidates;
-  size_t num_grouping_candidates = 0;
-  size_t treatment_patterns_evaluated = 0;
-  PhaseTimer timings;  ///< phases "grouping" and "treatment".
-  EngineCacheStats cache_stats;
+  size_t num_grouping_candidates = 0;  ///< grouping patterns of phase 1.
+  size_t treatment_patterns_evaluated = 0;  ///< lattice nodes of phase 2.
+  PhaseTimer timings;  ///< phases "grouping", "treatment" (+ "selection").
+  EngineCacheStats cache_stats;  ///< engine + memo counters after mining.
 };
+
+/// Result of all three phases (timings feed Fig. 14/20). It holds none
+/// of the run's engine, context or pool: a run-private one is torn down
+/// before RunCauSumX returns.
+struct CauSumXResult : CandidateMiningResult {
+  ExplanationSummary summary;  ///< the selected explanations.
+};
+
+/// The engine a query builds when its caller lends none (ExplorationSession
+/// builds its own here too): cache mode, shards, and a pool of the
+/// query's thread count (none when that is 1) from `config`.
+std::shared_ptr<EvalEngine> MakeQueryEngine(std::shared_ptr<const Table> table,
+                                            const CauSumXConfig& config);
 
 /// Phases 1 + 2 of Algorithm 1: mine grouping patterns and their top
 /// treatments. Phase-3 parameters (k, theta, solver) are ignored here.
-/// Creates a run-private EvalEngine (honoring config.disable_eval_cache).
-CandidateMiningResult MineExplanationCandidates(const Table& table,
-                                                const GroupByAvgQuery& query,
-                                                const CausalDag& dag,
-                                                const CauSumXConfig& config);
-
-/// As above but over a caller-provided engine (must be bound to `table`),
-/// so repeated runs — exploration sessions, baseline comparisons — share
-/// one predicate-bitset cache. Pass nullptr to create a private engine.
-/// `estimator_ctx` (optional, must be bound to the same engine) likewise
-/// shares a CATE memo with the caller. `pool` (optional) runs phase 2 on
-/// a caller-owned thread pool — the ExplanationService lends its worker
-/// pool so per-query thread spawning disappears from the warm path;
-/// when null, a private pool of config.num_threads is created.
+/// `engine`, `estimator_ctx` and `pool` are as in RunCauSumX.
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
-    const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine,
+    const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine = nullptr,
     std::shared_ptr<EstimatorContext> estimator_ctx = nullptr,
     ThreadPool* pool = nullptr);
 
@@ -135,27 +130,20 @@ ExplanationSummary SelectExplanations(
     const CauSumXConfig& config, PhaseTimer* timings = nullptr,
     ThreadPool* pool = nullptr);
 
-/// Runs CauSumX over the table for the given query and causal DAG.
+/// Runs CauSumX (all three phases) over the table for the given query
+/// and causal DAG: the one driver every query path runs through.
+/// `engine` (bound to `table`) and `estimator_ctx` (bound to `engine`)
+/// lend warm caches; null builds them with MakeQueryEngine. The query
+/// runs on a lent pool — `pool`, else the engine's — when
+/// config.num_threads is 0 or equals its size, else on a private pool
+/// of num_threads workers (none when 1); that pool also runs phase 3.
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
                          const CausalDag& dag,
-                         const CauSumXConfig& config = {});
-
-/// As above over a caller-provided engine, CATE memo, and pool, with
-/// the same meaning as in MineExplanationCandidates; `pool` also runs
-/// phase 3. The ExplanationService and StreamMonitor answer through
-/// this, so every query path assembles its result in one place.
-CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
-                         const CausalDag& dag, const CauSumXConfig& config,
-                         std::shared_ptr<EvalEngine> engine,
+                         const CauSumXConfig& config = {},
+                         std::shared_ptr<EvalEngine> engine = nullptr,
                          std::shared_ptr<EstimatorContext> estimator_ctx =
                              nullptr,
                          ThreadPool* pool = nullptr);
-
-/// Convenience wrapper returning just the summary.
-ExplanationSummary ExplainView(const Table& table,
-                               const GroupByAvgQuery& query,
-                               const CausalDag& dag,
-                               const CauSumXConfig& config = {});
 
 }  // namespace causumx
 

@@ -1,27 +1,6 @@
 #include "core/exploration.h"
 
-#include "util/thread_pool.h"
-
 namespace causumx {
-
-namespace {
-
-// Session-private sharded engine: the pool is owned by the engine (and
-// so lives exactly as long as the session's caches), and the shard plan
-// follows the config's --shards knob.
-std::shared_ptr<EvalEngine> MakeSessionEngine(
-    const std::shared_ptr<const Table>& table, const CauSumXConfig& config) {
-  EvalEngineOptions options;
-  options.cache_enabled = !config.disable_eval_cache;
-  options.num_shards = config.num_shards;
-  const size_t threads = config.num_threads == 0
-                             ? ThreadPool::DefaultThreads()
-                             : config.num_threads;
-  if (threads > 1) options.pool = std::make_shared<ThreadPool>(threads);
-  return std::make_shared<EvalEngine>(table, std::move(options));
-}
-
-}  // namespace
 
 ExplorationSession::ExplorationSession(
     std::shared_ptr<const Table> table, GroupByAvgQuery query, CausalDag dag,
@@ -31,13 +10,12 @@ ExplorationSession::ExplorationSession(
       query_(std::move(query)),
       dag_(std::move(dag)),
       config_(std::move(config)),
-      engine_(engine != nullptr ? engine : MakeSessionEngine(table_, config_)),
-      estimator_(context != nullptr
-                     ? EffectEstimator(std::move(context))
-                     : EffectEstimator(engine_, dag_, config_.estimator)),
-      // Mining shares the pool of an engine the session built; a
-      // borrowed engine keeps MineExplanationCandidates' pool rule.
-      mining_pool_(engine == nullptr ? engine_->pool() : nullptr) {}
+      engine_(engine != nullptr ? std::move(engine)
+                                : MakeQueryEngine(table_, config_)),
+      context_(context != nullptr
+                   ? std::move(context)
+                   : std::make_shared<EstimatorContext>(engine_, dag_,
+                                                        config_.estimator)) {}
 
 ExplorationSession::ExplorationSession(const Table& table,
                                        GroupByAvgQuery query, CausalDag dag,
@@ -50,8 +28,7 @@ ExplorationSession::ExplorationSession(const Table& table,
 void ExplorationSession::EnsureMined() {
   if (!mined_) {
     mined_ = MineExplanationCandidates(*table_, query_, dag_, config_,
-                                       engine_, estimator_.context(),
-                                       mining_pool_);
+                                       engine_, context_);
   }
 }
 
@@ -80,13 +57,10 @@ std::vector<ScoredTreatment> ExplorationSession::TopTreatments(
   } else {
     rows = engine_->Evaluate(grouping_pattern);
   }
-
-  const std::vector<std::string>& treatment_attrs =
-      config_.treatment_attribute_allowlist.empty()
-          ? mined_->partition.treatment_attributes
-          : config_.treatment_attribute_allowlist;
-  return MineTopKTreatments(estimator_, rows, query_.avg_attribute,
-                            treatment_attrs, sign, k, config_.treatment);
+  return MineTopKTreatments(EffectEstimator(context_), rows,
+                            query_.avg_attribute,
+                            mined_->partition.treatment_attributes, sign, k,
+                            config_.treatment);
 }
 
 const AggregateView& ExplorationSession::View() {
@@ -107,7 +81,7 @@ const CandidateMiningResult& ExplorationSession::MiningResult() {
 EngineCacheStats ExplorationSession::CacheStats() const {
   EngineCacheStats stats;
   stats.eval = engine_->Stats();
-  stats.estimator = estimator_.cache_stats();
+  stats.estimator = context_->Stats();
   return stats;
 }
 

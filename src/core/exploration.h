@@ -1,12 +1,11 @@
 // Interactive exploration sessions.
 //
 // The paper's closing note — "The user can continue the exploration by
-// varying parameters in CauSumX" — needs the expensive phases (grouping
-// and treatment mining, >95% of the runtime per Fig. 14) to be cached
-// while k / theta / the solver vary. ExplorationSession mines once and
-// re-runs only the selection LP per query; it also exposes the paper's
-// UI drill-down of top-k positive/negative treatments per grouping
-// pattern.
+// varying parameters in CauSumX" — needs only phase 3 re-run over the
+// phase 1-2 candidates (>95% of the runtime, Fig. 14). A session is one
+// cached MineExplanationCandidates run (the driver's pool, engine and
+// attribute rules), SelectExplanations per Solve, and the paper's UI
+// drill-down of top-k positive/negative treatments per grouping pattern.
 
 #ifndef CAUSUMX_CORE_EXPLORATION_H_
 #define CAUSUMX_CORE_EXPLORATION_H_
@@ -35,8 +34,8 @@ class ExplorationSession {
   ///
   /// `engine` / `context` (optional) let the session borrow warm caches —
   /// typically from an ExplanationService table entry — instead of
-  /// constructing its own; both must be bound to `table` (and `context`
-  /// to `engine`).
+  /// building its own with MakeQueryEngine; both must be bound to `table`
+  /// (and `context` to `engine`).
   ExplorationSession(std::shared_ptr<const Table> table,
                      GroupByAvgQuery query, CausalDag dag,
                      CauSumXConfig config = {},
@@ -92,8 +91,7 @@ class ExplorationSession {
   CausalDag dag_;
   CauSumXConfig config_;
   std::shared_ptr<EvalEngine> engine_;
-  EffectEstimator estimator_;  // bound to engine_; shared memo.
-  ThreadPool* mining_pool_ = nullptr;  // engine_'s pool if built here
+  std::shared_ptr<EstimatorContext> context_;  // bound to engine_
   std::optional<CandidateMiningResult> mined_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
@@ -33,13 +34,22 @@ SimplePredicate ParseWherePredicate(const std::string& expr,
     const std::string attr = Trim(expr.substr(0, pos));
     const std::string value = Trim(expr.substr(pos + std::strlen(symbol)));
     auto idx = table.ColumnIndex(attr);
-    if (!idx) throw std::runtime_error("where: unknown attribute " + attr);
+    if (!idx) throw std::runtime_error("\"where\": unknown attribute " + attr);
     if (table.column(*idx).type() == ColumnType::kCategorical) {
       return SimplePredicate(attr, op, Value(value));
     }
-    return SimplePredicate(attr, op, Value(std::stod(value)));
+    // The whole value must be one finite number: "35years" is not 35.
+    char* end = nullptr;
+    const double number = std::strtod(value.c_str(), &end);
+    if (value.empty() || end != value.c_str() + value.size() ||
+        !std::isfinite(number)) {
+      throw std::runtime_error("\"where\": numeric attribute " + attr +
+                               " needs a finite number, got '" + value +
+                               "'");
+    }
+    return SimplePredicate(attr, op, Value(number));
   }
-  throw std::runtime_error("where: no operator found in '" + expr + "'");
+  throw std::runtime_error("\"where\": no operator found in '" + expr + "'");
 }
 
 size_t ParseSpecCount(const JsonValue& holder, const std::string& key,

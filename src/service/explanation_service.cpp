@@ -511,14 +511,12 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
                                           const CausalDag& dag,
                                           const CauSumXConfig& config) {
   Resolved entry = Resolve(table_name, dag, config.estimator);
-  // With the default thread count the query runs on the service pool
-  // (no per-query thread spawning; nested ParallelFor is deadlock-safe
-  // because callers participate). An explicit num_threads still gets a
-  // private pool of that size.
-  ThreadPool* pool = config.num_threads == 0 ? pool_.get() : nullptr;
+  // The service lends its pool (nested ParallelFor is deadlock-safe
+  // because callers participate); the driver decides whether the query's
+  // num_threads lets it run there.
   CauSumXResult result =
       RunCauSumX(*entry.table, query, dag, config, std::move(entry.engine),
-                 std::move(entry.context), pool);
+                 std::move(entry.context), pool_.get());
   n_queries_.fetch_add(1, std::memory_order_relaxed);
   EnforceBudget();
   return result;

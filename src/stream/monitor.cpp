@@ -104,7 +104,7 @@ StreamMonitor::StreamMonitor(std::string id, std::string spec_json,
     schema_.emplace_back(bound_table.column(c).name(),
                          bound_table.column(c).type());
   }
-  mining_pool_ = config_.num_threads == 0 ? mining_pool : nullptr;
+  mining_pool_ = mining_pool;
 
   Table empty;
   for (const auto& [name, type] : schema_) empty.AddColumn(name, type);

@@ -123,8 +123,8 @@ class StreamMonitor {
   /// the window schema, WHERE-predicate typing, and the data a
   /// "discover" DAG is learned from; the window itself starts empty and
   /// fills from appends observed after creation. `mining_pool`
-  /// (optional) runs window evaluation when the spec leaves num_threads
-  /// at 0. Throws std::runtime_error on an invalid spec.
+  /// (optional) is lent to window evaluation; CauSumXConfig::num_threads
+  /// says when it runs there. Throws std::runtime_error on an invalid spec.
   StreamMonitor(std::string id, std::string spec_json,
                 const Table& bound_table, ThreadPool* mining_pool);
 

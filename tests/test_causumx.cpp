@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/causumx.h"
+#include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "util/bitset.h"
+#include "util/thread_pool.h"
 
 namespace causumx {
 namespace {
@@ -283,6 +285,65 @@ TEST(CauSumXTest, AprioriSupportMutationPropagates) {
   // value were ignored (stale ctor copy = 0.1), both runs would mine the
   // same candidate set.
   EXPECT_LT(strict.num_grouping_candidates, loose.num_grouping_candidates);
+}
+
+// RunCauSumX is phases 1-2 plus SelectExplanations over the candidates
+// its result carries: re-selecting them reproduces the summary byte for
+// byte under every solver (what ExplorationSession relies on).
+TEST(CauSumXTest, ReselectingCandidatesReproducesSummary) {
+  SyntheticOptions opt;
+  opt.num_rows = 1500;
+  const GeneratedDataset ds = MakeSyntheticDataset(opt);
+  for (const FinalStepSolver solver :
+       {FinalStepSolver::kLpRounding, FinalStepSolver::kGreedy,
+        FinalStepSolver::kExact}) {
+    CauSumXConfig config = SyntheticConfig(ds);
+    config.solver = solver;
+    const CauSumXResult r =
+        RunCauSumX(ds.table, ds.default_query, ds.dag, config);
+    ASSERT_FALSE(r.candidates.empty());
+    EXPECT_EQ(SummaryToJson(SelectExplanations(r.candidates,
+                                               r.view.NumGroups(), config),
+                            &ds.default_query),
+              SummaryToJson(r.summary, &ds.default_query));
+  }
+}
+
+// Whichever pool the driver resolves — a lent one, a private one of
+// num_threads, or none — the summary is the same bytes.
+TEST(CauSumXTest, PoolChoiceNeverChangesTheSummary) {
+  SyntheticOptions opt;
+  opt.num_rows = 1500;
+  const GeneratedDataset ds = MakeSyntheticDataset(opt);
+  CauSumXConfig config = SyntheticConfig(ds);
+  config.solver = FinalStepSolver::kGreedy;  // the solver that uses a pool
+  const std::string expected = SummaryToJson(
+      RunCauSumX(ds.table, ds.default_query, ds.dag, config).summary);
+  ThreadPool lent(2);
+  for (const size_t threads : {0, 1, 2, 3}) {
+    config.num_threads = threads;
+    EXPECT_EQ(SummaryToJson(RunCauSumX(ds.table, ds.default_query, ds.dag,
+                                       config, nullptr, nullptr, &lent)
+                                .summary),
+              expected)
+        << "num_threads " << threads;
+  }
+}
+
+// A treatment allowlist replaces the partition's treatment attributes,
+// as the grouping allowlist replaces its grouping attributes.
+TEST(CauSumXTest, AllowlistsReplaceThePartition) {
+  SyntheticOptions opt;
+  opt.num_rows = 1000;
+  const GeneratedDataset ds = MakeSyntheticDataset(opt);
+  const CauSumXConfig config = SyntheticConfig(ds);
+  ASSERT_FALSE(config.treatment_attribute_allowlist.empty());
+  const CauSumXResult r =
+      RunCauSumX(ds.table, ds.default_query, ds.dag, config);
+  EXPECT_EQ(r.partition.treatment_attributes,
+            config.treatment_attribute_allowlist);
+  EXPECT_EQ(r.partition.grouping_attributes,
+            config.grouping_attribute_allowlist);
 }
 
 // Parameterized sweep over k: explainability is monotone non-decreasing

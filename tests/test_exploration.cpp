@@ -137,6 +137,31 @@ TEST(ExplorationTest, TopTreatmentsEmptyGroupingMeansWholeTable) {
   for (const auto& t : top) EXPECT_LT(t.effect.cate, 0);
 }
 
+// Drill-downs mine the partition's treatment attributes, which a
+// treatment allowlist replaces: the same top-k as mining the allowlist
+// directly over the same rows.
+TEST(ExplorationTest, TopTreatmentsMineTheAllowlist) {
+  const GeneratedDataset ds = MakeData();
+  const CauSumXConfig config = MakeConfig(ds);
+  ASSERT_FALSE(config.treatment_attribute_allowlist.empty());
+  ExplorationSession session(ds.table, ds.default_query, ds.dag, config);
+  const Pattern group({SimplePredicate("G1", CompareOp::kEq,
+                                       Value("g1_b0"))});
+  const auto top = session.TopTreatments(group, TreatmentSign::kPositive, 4);
+  auto engine = std::make_shared<EvalEngine>(ds.table);
+  const EffectEstimator estimator(engine, ds.dag, config.estimator);
+  const auto direct = MineTopKTreatments(
+      estimator, engine->Evaluate(group), ds.default_query.avg_attribute,
+      config.treatment_attribute_allowlist, TreatmentSign::kPositive, 4,
+      config.treatment);
+  ASSERT_EQ(top.size(), direct.size());
+  ASSERT_FALSE(top.empty());
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_TRUE(top[i].pattern == direct[i].pattern);
+    EXPECT_EQ(top[i].effect.cate, direct[i].effect.cate);
+  }
+}
+
 TEST(JsonExportTest, EscapesSpecials) {
   EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(JsonEscape("plain"), "plain");
@@ -161,7 +186,7 @@ TEST(JsonExportTest, SummaryRoundTripStructure) {
   config.k = 2;
   config.theta = 0.25;
   const ExplanationSummary summary =
-      ExplainView(ds.table, ds.default_query, ds.dag, config);
+      RunCauSumX(ds.table, ds.default_query, ds.dag, config).summary;
   const std::string json = SummaryToJson(summary, &ds.default_query);
 
   // Structural sanity: balanced braces/brackets, key fields present.
